@@ -1,10 +1,11 @@
 """Shared plumbing for the spark-submit entrypoints in jobs/.
 
 Each job builds (or reuses) a local SparkSession configured like the test
-fixture in conftest.py, runs one table harness from
-:mod:`repro.evalx.tables`, writes ``reports/<table>.json`` and a markdown
-rendering, and prints the markdown so `spark-submit jobs/<job>.py` output
-is directly pasteable into EXPERIMENTS.md.
+fixture in conftest.py, runs one table's ``tableN_city`` from
+:mod:`repro.evalx.tables` over the chosen cities with ``per_city``, writes
+``reports/<table>.json`` and a markdown rendering, and prints the markdown
+so `spark-submit jobs/<job>.py` output is directly pasteable into
+EXPERIMENTS.md.
 """
 from __future__ import annotations
 
@@ -14,10 +15,14 @@ import os
 import sys
 
 # Allow running the jobs without `pip install -e .` (e.g. plain spark-submit).
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, SRC)
 
 
 def make_spark(app: str):
+    # Spark's Python workers import repro too; they see the PYTHONPATH they
+    # inherit, not this process's sys.path.
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         "--master local[*] --conf spark.driver.host=127.0.0.1 "

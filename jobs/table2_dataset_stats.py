@@ -8,9 +8,9 @@ from _common import finish, job_args, make_spark
 def main() -> None:
     args = job_args("Table II: dataset statistics")
     spark = make_spark("table2")
-    from repro.evalx.tables import PAPER_TABLE2, table2
+    from repro.evalx.tables import PAPER_TABLE2, per_city, table2_city
 
-    data = table2(spark, n_traj=args.n_traj, cities=tuple(args.cities.split(",")), seed=args.seed)
+    data = per_city(spark, table2_city, args.n_traj, tuple(args.cities.split(",")), args.seed)
     lines = ["| City | Metric | Paper | Ours |", "|---|---|---|---|"]
     for c, stats in data.items():
         for k, v in stats.items():

@@ -9,11 +9,11 @@ from _common import finish, job_args, make_spark
 def main() -> None:
     args = job_args("Table III: trajectory recovery")
     spark = make_spark("table3")
-    from repro.evalx.tables import table3, table_markdown
     from repro.evalx.metrics import RECOVERY_METRIC_COLS
+    from repro.evalx.tables import per_city, table3_city, table_markdown
 
-    data = table3(spark, n_traj=args.n_traj, cities=tuple(args.cities.split(",")),
-                  seed=args.seed, verbose=args.verbose)
+    data = per_city(spark, lambda city: table3_city(spark, city, seed=args.seed, verbose=args.verbose),
+                    args.n_traj, tuple(args.cities.split(",")), args.seed)
     finish("table3", data, args.out, table_markdown(data, RECOVERY_METRIC_COLS))
     spark.stop()
 

@@ -9,10 +9,10 @@ from _common import finish, job_args, make_spark
 def main() -> None:
     args = job_args("Table V: map matching")
     spark = make_spark("table5")
-    from repro.evalx.tables import ROUTE_METRIC_COLS, table5, table_markdown
+    from repro.evalx.tables import ROUTE_METRIC_COLS, per_city, table5_city, table_markdown
 
-    data = table5(spark, n_traj=args.n_traj, cities=tuple(args.cities.split(",")),
-                  seed=args.seed, verbose=args.verbose)
+    data = per_city(spark, lambda city: table5_city(spark, city, seed=args.seed, verbose=args.verbose),
+                    args.n_traj, tuple(args.cities.split(",")), args.seed)
     finish("table5", data, args.out, table_markdown(data, ROUTE_METRIC_COLS))
     spark.stop()
 

@@ -1,17 +1,15 @@
 """Harnesses regenerating the paper's evaluation tables (II–V).
 
-Each ``tableN`` function trains what it needs, runs Spark-batched inference
-over the test split, computes §VI-A metrics, and returns a nested dict
-``{city: {row: {metric: value}}}``. ``write_report`` persists JSON +
-markdown under ``reports/`` for EXPERIMENTS.md.
+Each ``tableN_city`` function trains what it needs for one city, runs
+Spark-batched inference over the test split, computes §VI-A metrics, and
+returns ``{row: {metric: value}}``. :func:`per_city` runs one of them over
+several cities, giving ``{city: {row: {metric: value}}}``; the jobs in
+``jobs/`` persist that as JSON + markdown under ``reports/``.
 
 The paper's published numbers are embedded as ``PAPER_TABLE*`` so reports
 can print paper-vs-ours side by side.
 """
 from __future__ import annotations
-
-import json
-import os
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -36,7 +34,7 @@ from repro.mma.infer import run_matcher
 from repro.mma.train import train_mma
 from repro.roadnet.node2vec import node2vec_embeddings
 from repro.roadnet.routing import HistoricalCosts
-from repro.traj.datasets import CITY_PRESETS, CityData, build_city
+from repro.traj.datasets import CityData, build_city
 from repro.trmma.ablations import train_ablation_suite
 from repro.trmma.baselines import (
     DHTRRecoverer,
@@ -50,7 +48,12 @@ from repro.trmma.baselines import (
     TrajGATDecRecoverer,
 )
 from repro.trmma.infer import TRMMARecoverer, run_recovery
-from repro.trmma.train import segment_time_stats, train_trmma
+from repro.trmma.train import (
+    segment_time_stats_trajs,
+    train_trmma,
+    trmma_train_trajs,
+    trmma_training_samples,
+)
 
 DEFAULT_CITIES = ("pt", "xa", "bj", "cd")
 
@@ -74,12 +77,17 @@ def gt_route_frame(city: CityData, split: str = "test"):
     return city.routes.filter(F.col("split") == split).select("traj_id", "seg")
 
 
-def write_report(name: str, data: dict, out_dir: str = "reports") -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{name}.json")
-    with open(path, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-    return path
+def per_city(spark: SparkSession, city_fn, n_traj: int = 700, cities=DEFAULT_CITIES,
+             seed: int = 0) -> dict:
+    """``{city: city_fn(city)}``: build each city's dataset, run one table's
+    ``city_fn`` on it, then drop the dataset's cached frames."""
+    out = {}
+    for c in cities:
+        city = build_city(spark, c, n_traj=n_traj, seed=seed)
+        out[c] = city_fn(city)
+        city.points.unpersist()
+        city.routes.unpersist()
+    return out
 
 
 def table_markdown(data: dict, metrics: list[str], scale: float = 100.0, fmt: str = ".2f") -> str:
@@ -153,16 +161,6 @@ def table2_city(city: CityData) -> dict:
     }
 
 
-def table2(spark: SparkSession, n_traj: int = 700, cities=DEFAULT_CITIES, seed: int = 0) -> dict:
-    out = {}
-    for c in cities:
-        city = build_city(spark, c, n_traj=n_traj, seed=seed)
-        out[c] = table2_city(city)
-        city.points.unpersist()
-        city.routes.unpersist()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Table V — map matching effectiveness
 # ---------------------------------------------------------------------------
@@ -203,17 +201,6 @@ def table5_city(spark: SparkSession, city: CityData, seed: int = 0, epochs: int 
     return out
 
 
-def table5(spark: SparkSession, n_traj: int = 700, cities=DEFAULT_CITIES, seed: int = 0,
-           epochs: int = 8, verbose: bool = False) -> dict:
-    out = {}
-    for c in cities:
-        city = build_city(spark, c, n_traj=n_traj, seed=seed)
-        out[c] = table5_city(spark, city, seed=seed, epochs=epochs, verbose=verbose)
-        city.points.unpersist()
-        city.routes.unpersist()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Table III — trajectory recovery effectiveness
 # ---------------------------------------------------------------------------
@@ -221,8 +208,6 @@ def build_recoverers(city: CityData, seed: int = 0, epochs: int = 4, mma_epochs:
                      trmma_epochs: int = 4, mma_augment: int = 800, trmma_augment: int = 250,
                      verbose: bool = False) -> dict:
     """Train/construct the 10 recovery methods of Table III."""
-    from repro.trmma.train import segment_time_stats_trajs, trmma_train_trajs
-
     net, index, norm, eps = city.net, city.index, city.norm, city.eps
     costs = historical_costs(city)
     n2v = node2vec_embeddings(net, d=32, seed=seed)
@@ -230,8 +215,6 @@ def build_recoverers(city: CityData, seed: int = 0, epochs: int = 4, mma_epochs:
     tpm = segment_time_stats_trajs(net, hist_trajs, eps)
     mma_model = train_mma(city, epochs=mma_epochs, seed=seed, n2v=n2v, augment=mma_augment,
                           verbose=verbose)
-    from repro.trmma.train import trmma_training_samples
-
     trmma_samples = trmma_training_samples(city, time_per_meter=tpm, trajs=hist_trajs)
     trmma_model = train_trmma(city, epochs=trmma_epochs, seed=seed, n2v=n2v,
                               time_per_meter=tpm, samples=trmma_samples, verbose=verbose)
@@ -268,17 +251,6 @@ def table3_city(spark: SparkSession, city: CityData, seed: int = 0, epochs: int 
     return out
 
 
-def table3(spark: SparkSession, n_traj: int = 700, cities=DEFAULT_CITIES, seed: int = 0,
-           epochs: int = 4, verbose: bool = False) -> dict:
-    out = {}
-    for c in cities:
-        city = build_city(spark, c, n_traj=n_traj, seed=seed)
-        out[c] = table3_city(spark, city, seed=seed, epochs=epochs, verbose=verbose)
-        city.points.unpersist()
-        city.routes.unpersist()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Table IV — TRMMA ablation (accuracy only)
 # ---------------------------------------------------------------------------
@@ -294,17 +266,6 @@ def table4_city(spark: SparkSession, city: CityData, seed: int = 0, verbose: boo
         out[name] = aggregate_means(per_traj, ["accuracy"])
         if verbose:
             print(f"[table4:{city.name}] {name}: {out[name]}")
-    return out
-
-
-def table4(spark: SparkSession, n_traj: int = 700, cities=DEFAULT_CITIES, seed: int = 0,
-           verbose: bool = False) -> dict:
-    out = {}
-    for c in cities:
-        city = build_city(spark, c, n_traj=n_traj, seed=seed)
-        out[c] = table4_city(spark, city, seed=seed, verbose=verbose)
-        city.points.unpersist()
-        city.routes.unpersist()
     return out
 
 

@@ -9,8 +9,9 @@ the Spark runner in :mod:`repro.mma.infer` can broadcast it.
 * :class:`HMMMatcher` — FMM / Newson-Krumm: Gaussian emission on distance,
   ``exp(-|d_gc - d_route|/β)`` transition with Dijkstra route distances,
   Viterbi decode.
-* :class:`LHMMMatcher` — the HMM skeleton with a *learned* emission
-  (logistic scorer over the candidate features), LHMM's key idea.
+* :class:`LHMMMatcher` — the same HMM skeleton with a *learned* emission
+  (logistic scorer over the candidate features), LHMM's key idea; it
+  overrides only ``HMMMatcher._emission``.
 * :class:`DeepMMMatcher` — learned seq2seq flavour: GRU over point features,
   per-point softmax over *all* n segments, trained with DeepMM's trademark
   synthetic-trajectory data augmentation.
@@ -90,19 +91,20 @@ class HMMMatcher:
         self.net, self.index, self.norm = net, index, norm
         self.sigma, self.beta, self.k_c = sigma, beta, k_c
 
-    def _lattice(self, xs, ys):
-        cand, feats, mask = candidate_features(self.net, self.index, xs, ys, self.k_c)
+    def _emission(self, feats, mask) -> np.ndarray:
+        """Log emission per candidate: Gaussian on the perpendicular distance."""
         dists = feats[:, :, 4] * 50.0  # undo the feature scaling
-        ratios = np.zeros_like(dists)
+        em = -(dists**2) / (2 * self.sigma**2)
+        em[~mask] = -np.inf
+        return em
+
+    def match(self, xs, ys, ts, t0) -> np.ndarray:
+        cand, feats, mask = candidate_features(self.net, self.index, xs, ys, self.k_c)
+        ratios = np.zeros(cand.shape)
         for i in range(len(xs)):
             for j in np.where(mask[i])[0]:
                 ratios[i, j], _ = self.net.project(float(xs[i]), float(ys[i]), int(cand[i, j]))
-        return cand, mask, dists, ratios
-
-    def match(self, xs, ys, ts, t0) -> np.ndarray:
-        cand, mask, dists, ratios = self._lattice(xs, ys)
-        em = -(dists**2) / (2 * self.sigma**2)
-        em[~mask] = -np.inf
+        em = self._emission(feats, mask)
         nd = network_distance_for(self.net)
 
         def trans(i, a, b):
@@ -150,26 +152,12 @@ class LHMMMatcher(HMMMatcher):
             w -= lr * np.einsum("nk,nkf->f", grad, X) / len(Y)
         return w
 
-    def match(self, xs, ys, ts, t0) -> np.ndarray:
-        cand, feats, mask = candidate_features(self.net, self.index, xs, ys, self.k_c)
-        ratios = np.zeros(cand.shape)
-        for i in range(len(xs)):
-            for j in np.where(mask[i])[0]:
-                ratios[i, j], _ = self.net.project(float(xs[i]), float(ys[i]), int(cand[i, j]))
+    def _emission(self, feats, mask) -> np.ndarray:
+        """Log emission per candidate: log-softmax of the learned scores."""
         logits = feats @ self.w
         logits[~mask] = -np.inf
-        em = logits - np.log(np.exp(logits - logits.max(1, keepdims=True)).sum(1, keepdims=True)) - logits.max(1, keepdims=True)
-        nd = network_distance_for(self.net)
-
-        def trans(i, a, b):
-            d_gc = float(np.hypot(xs[i + 1] - xs[i], ys[i + 1] - ys[i]))
-            d_rt = nd.directed(int(cand[i, a]), float(ratios[i, a]), int(cand[i + 1, b]), float(ratios[i + 1, b]))
-            if not np.isfinite(d_rt):
-                return -1e9
-            return -abs(d_gc - d_rt) / self.beta
-
-        pick = _viterbi(cand, mask, em, trans)
-        return cand[np.arange(len(pick)), pick]
+        top = logits.max(1, keepdims=True)
+        return logits - np.log(np.exp(logits - top).sum(1, keepdims=True)) - top
 
 
 class _FullVocabModel(Module):

@@ -5,7 +5,8 @@ prescribes: the model-heavy per-trajectory computation runs inside
 ``groupBy("traj_id").applyInPandas`` with the matcher (model weights +
 road network + spatial index) shipped once per executor via broadcast.
 
-One pass per matcher produces both outputs of Algorithm 1:
+One pass per matcher produces both outputs of Algorithm 1
+(:func:`match_and_stitch`, once per trajectory):
 * matched points — (traj_id, idx, seg, ratio), the per-GPS-point segments
   (with projected position ratios, Alg. 2 lines 2-4), and
 * routes — (traj_id, pos, seg), the stitched route ``R``.
@@ -33,6 +34,22 @@ class MatchResult:
     routes: DataFrame  # traj_id, pos, seg
 
 
+def match_and_stitch(matcher, xs, ys, ts, t0, costs):
+    """Algorithm 1 for one sparse trajectory.
+
+    Returns ``(segs, ratios, route)``: the matched segment of each point,
+    its projected position ratio on that segment (Alg. 2 lines 2-4), and
+    the route stitched through the matched segments with ``costs``
+    (Alg. 1 line 12; ``None`` means plain shortest path). The Spark runner,
+    TRMMA (Alg. 2 line 1) and the Linear baselines all call this.
+    """
+    net = matcher.net
+    segs = matcher.match(xs, ys, ts, t0)
+    ratios = np.array([net.project(float(x), float(y), int(s))[0] for x, y, s in zip(xs, ys, segs)])
+    route = np.array(stitch_route(net, [int(s) for s in segs], costs), dtype=np.int64)
+    return segs, ratios, route
+
+
 def run_matcher(
     spark: SparkSession,
     city: CityData,
@@ -48,16 +65,15 @@ def run_matcher(
 
     def per_traj(key, pdf):
         env = bc.value
-        m = env["matcher"]
-        net = m.net
         pdf = pdf.sort_values("idx")
-        xs = pdf["x"].to_numpy(np.float64)
-        ys = pdf["y"].to_numpy(np.float64)
-        ts = pdf["t"].to_numpy(np.float64)
-        t0 = float(pdf["t0"].iloc[0])
-        segs = m.match(xs, ys, ts, t0)
-        ratios = np.array([net.project(float(x), float(y), int(s))[0] for x, y, s in zip(xs, ys, segs)])
-        route = stitch_route(net, [int(s) for s in segs], env["costs"])
+        segs, ratios, route = match_and_stitch(
+            env["matcher"],
+            pdf["x"].to_numpy(np.float64),
+            pdf["y"].to_numpy(np.float64),
+            pdf["t"].to_numpy(np.float64),
+            float(pdf["t0"].iloc[0]),
+            env["costs"],
+        )
         tid = int(key[0])
         prow = pd.DataFrame(
             {
@@ -75,7 +91,7 @@ def run_matcher(
                 "kind": "route",
                 "ord": np.arange(len(route)),
                 "idx": -1,
-                "seg": np.array(route, dtype=np.int64),
+                "seg": route,
                 "ratio": 0.0,
             }
         )

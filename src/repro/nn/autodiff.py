@@ -74,7 +74,7 @@ class Tensor:
         return self.data.ndim
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autodiff import Tensor, concat
+from repro.nn.autodiff import Tensor
 from repro.nn.layers import LayerNorm, Linear, Module
 
 

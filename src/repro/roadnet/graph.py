@@ -11,7 +11,7 @@ exit ``(vx, vy)``; a *map-matched point* ``(i, r)`` with position ratio
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

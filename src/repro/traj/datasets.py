@@ -11,7 +11,7 @@ substitution is documented in DESIGN.md §2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd

@@ -21,7 +21,12 @@ from repro.roadnet.node2vec import node2vec_embeddings
 from repro.traj.datasets import CityData
 from repro.trmma.baselines import LinearRecoverer
 from repro.trmma.infer import TRMMARecoverer
-from repro.trmma.train import segment_time_stats, train_trmma
+from repro.trmma.train import (
+    segment_time_stats_trajs,
+    train_trmma,
+    trmma_train_trajs,
+    trmma_training_samples,
+)
 
 
 def train_ablation_suite(
@@ -41,8 +46,6 @@ def train_ablation_suite(
     history) are shared across variants exactly as the ablation design
     requires.
     """
-    from repro.trmma.train import segment_time_stats_trajs, trmma_train_trajs, trmma_training_samples
-
     net, index, norm = city.net, city.index, city.norm
     n2v = node2vec_embeddings(net, d=32, seed=seed)
     hist = trmma_train_trajs(city, augment=trmma_augment, seed=seed)

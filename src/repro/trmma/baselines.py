@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mma.baselines import HMMMatcher, segment_feature_matrix
+from repro.mma.baselines import segment_feature_matrix
 from repro.mma.features import point_features
-from repro.nn.autodiff import Tensor, concat, stack
+from repro.mma.infer import match_and_stitch
+from repro.nn.autodiff import Tensor, concat
 from repro.nn.gru import BiGRU, GRU, GRUCell
 from repro.nn.layers import Linear, MLP, Module
 from repro.nn.optim import Adam
 from repro.nn.transformer import TransformerEncoder
 from repro.roadnet.node2vec import node2vec_embeddings
-from repro.roadnet.routing import stitch_route
 from repro.roadnet.spatial_index import SegmentIndex
 from repro.traj.datasets import CityData
 from repro.traj.ops import locate_on_route, route_cum_lengths, route_offset
@@ -56,8 +56,7 @@ class LinearRecoverer:
 
     def recover(self, xs, ys, ts, t0, idxs, n_ticks):
         net = self.matcher.net
-        segs_m = self.matcher.match(xs, ys, ts, t0)
-        route = stitch_route(net, [int(s) for s in segs_m], self.costs)
+        segs_m, _, route = match_and_stitch(self.matcher, xs, ys, ts, t0, self.costs)
         cum = route_cum_lengths(net, route)
         # offsets of observed points along the route (monotone projection)
         from repro.trmma.features import positions_in_route

@@ -17,7 +17,10 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.roadnet.routing import stitch_route
+from repro.mma.infer import match_and_stitch
+# Not called here; kept as a module attribute because trbench/ wraps
+# ``repro.trmma.infer.stitch_route`` by name.
+from repro.roadnet.routing import stitch_route  # noqa: F401
 from repro.traj.datasets import CityData
 from repro.trmma.features import build_infer_sample
 from repro.trmma.model import TRMMAModel
@@ -40,15 +43,11 @@ class TRMMARecoverer:
         self.time_per_meter = time_per_meter
 
     def recover(self, xs, ys, ts, t0, idxs, n_ticks):
-        net = self.matcher.net
-        segs_m = self.matcher.match(xs, ys, ts, t0)  # Alg. 2 line 1 (via Alg. 1)
-        ratios_m = np.array(
-            [net.project(float(x), float(y), int(s))[0] for x, y, s in zip(xs, ys, segs_m)]
-        )
-        route = np.array(stitch_route(net, [int(s) for s in segs_m], self.costs), dtype=np.int64)
+        # Alg. 2 line 1 is Alg. 1
+        segs_m, ratios_m, route = match_and_stitch(self.matcher, xs, ys, ts, t0, self.costs)
         sample = build_infer_sample(
-            net, self.norm, xs, ys, ts, t0, idxs, n_ticks, self.eps, segs_m, ratios_m, route,
-            time_per_meter=self.time_per_meter,
+            self.matcher.net, self.norm, xs, ys, ts, t0, idxs, n_ticks, self.eps,
+            segs_m, ratios_m, route, time_per_meter=self.time_per_meter,
         )
         return self.model.recover(sample)
 

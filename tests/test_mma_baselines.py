@@ -4,11 +4,13 @@ import pytest
 
 from repro.mma.baselines import (
     HMMMatcher,
+    LHMMMatcher,
     NearestMatcher,
     _viterbi,
     distance_penalty,
     segment_feature_matrix,
 )
+from repro.mma.features import N_CAND_FEATS
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +38,33 @@ def test_hmm_matcher_valid_and_beats_nearest(net_small, index_small, pt_norm, tr
         sh = hmm.match(tr.x[o], tr.y[o], tr.t[o], tr.t0)
         acc_n += int((sn == tr.seg[o]).sum())
         acc_h += int((sh == tr.seg[o]).sum())
-        tot += len(o)
     assert acc_h >= acc_n  # HMM's transitions should not hurt
+
+
+def test_lhmm_fitted_valid_and_beats_nearest(net_small, index_small, pt_norm, trajs_small):
+    """LHMM's learned emission, fit on the same trajectories, in the HMM
+    skeleton: valid segments and more points matched than Nearest."""
+
+    class MiniCity:
+        net = net_small
+        index = index_small
+        norm = pt_norm
+
+        def trajs(self, split):
+            return trajs_small
+
+    w = LHMMMatcher.fit_emission(MiniCity())
+    lhmm = LHMMMatcher(net_small, index_small, pt_norm, w)
+    near = NearestMatcher(net_small, index_small, pt_norm)
+    acc_n = acc_l = 0
+    for tr in trajs_small:
+        o = np.where(tr.observed)[0]
+        sl = lhmm.match(tr.x[o], tr.y[o], tr.t[o], tr.t0)
+        assert sl.shape == (len(o),)
+        assert ((sl >= 0) & (sl < net_small.n_segments)).all()
+        acc_l += int((sl == tr.seg[o]).sum())
+        acc_n += int((near.match(tr.x[o], tr.y[o], tr.t[o], tr.t0) == tr.seg[o]).sum())
+    assert acc_l > acc_n
 
 
 def test_viterbi_prefers_consistent_path():
@@ -101,6 +128,7 @@ def test_matchers_pickle(net_small, index_small, pt_norm):
     import pickle
 
     for m in [NearestMatcher(net_small, index_small, pt_norm),
-              HMMMatcher(net_small, index_small, pt_norm)]:
+              HMMMatcher(net_small, index_small, pt_norm),
+              LHMMMatcher(net_small, index_small, pt_norm, np.zeros(N_CAND_FEATS))]:
         clone = pickle.loads(pickle.dumps(m))
         assert clone.name == m.name

@@ -4,7 +4,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.mma.baselines import NearestMatcher
-from repro.mma.infer import run_matcher
+from repro.mma.infer import match_and_stitch, run_matcher
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +41,20 @@ def test_route_positions_contiguous(nearest_result):
 
 
 def test_spark_matches_driver_side(spark, pt_city, nearest_result):
-    """applyInPandas results equal a direct driver-side run per trajectory."""
+    """applyInPandas results equal a direct driver-side run per trajectory:
+    segments, ratios and the stitched route."""
     m = NearestMatcher(pt_city.net, pt_city.index, pt_city.norm)
     trajs = pt_city.trajs("test")
     pdf = nearest_result.points.toPandas()
+    rdf = nearest_result.routes.toPandas()
     for tr in trajs[:5]:
         obs = np.where(tr.observed)[0]
-        expect = m.match(tr.x[obs], tr.y[obs], tr.t[obs], tr.t0)
-        got = pdf[pdf.traj_id == tr.traj_id].sort_values("idx")["seg"].to_numpy()
-        assert np.array_equal(got, expect)
+        segs, ratios, route = match_and_stitch(m, tr.x[obs], tr.y[obs], tr.t[obs], tr.t0, None)
+        got = pdf[pdf.traj_id == tr.traj_id].sort_values("idx")
+        assert np.array_equal(got["seg"].to_numpy(), segs)
+        assert np.array_equal(got["ratio"].to_numpy(), ratios)
+        got_route = rdf[rdf.traj_id == tr.traj_id].sort_values("pos")["seg"].to_numpy()
+        assert np.array_equal(got_route, route)
 
 
 def test_trained_mma_through_spark(spark, pt_city):
