@@ -26,10 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mma.features import K_C, build_mma_sample, candidate_features, point_features
-from repro.nn.autodiff import Tensor
+from repro.nn.autodiff import Tensor, mean_of
 from repro.nn.gru import GRU
 from repro.nn.layers import Linear, MLP, Module
-from repro.nn.optim import Adam
+from repro.nn.optim import fit
 from repro.nn.transformer import TransformerEncoder
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.node2vec import node2vec_embeddings
@@ -129,7 +129,7 @@ class LHMMMatcher(HMMMatcher):
         self.w = weights
 
     @staticmethod
-    def fit_emission(city: CityData, iters: int = 300, lr: float = 0.5, seed: int = 0) -> np.ndarray:
+    def fit_emission(city: CityData, iters: int = 300, lr: float = 0.5) -> np.ndarray:
         """Softmax logistic regression over candidate features."""
         X, Y = [], []
         for tr in city.trajs("train"):
@@ -255,35 +255,17 @@ def segment_feature_matrix(net: RoadNetwork, norm: dict, d: int = 16, seed: int 
     )
 
 
-def _train_full_vocab(model: _FullVocabModel, seqs, labels, penalties, epochs, lr, seed, batch=8):
-    opt = Adam(model.parameters(), lr=lr)
-    rng = np.random.default_rng(seed)
-    for ep in range(epochs):
-        order = rng.permutation(len(seqs))
-        for lo in range(0, len(order), batch):
-            opt.zero_grad()
-            chunk = order[lo : lo + batch]
-            losses = []
-            for i in chunk:
-                lp = model.logits(seqs[i], penalties[i]).log_softmax(axis=-1)
-                losses.append(-lp[np.arange(len(labels[i])), labels[i]].mean())
-            loss = losses[0]
-            for l in losses[1:]:
-                loss = loss + l
-            (loss * (1.0 / len(chunk))).backward()
-            opt.step()
-
-
 class DeepMMMatcher:
     """DeepMM-lite (see module docstring). ``fit`` augments the training
     set with simulator-generated trajectories — DeepMM's data augmentation
     idea, which is what lifts it above the HMM family in the paper."""
 
     name = "DeepMM"
+    encoder = "gru"
 
     def __init__(self, net, index, norm, d: int = 32, seed: int = 0):
         self.net, self.index, self.norm = net, index, norm
-        self.model = _FullVocabModel(segment_feature_matrix(net, norm, seed=seed), d, "gru", seed)
+        self.model = _FullVocabModel(segment_feature_matrix(net, norm, seed=seed), d, self.encoder, seed)
 
     def fit(self, city: CityData, epochs: int = 8, lr: float = 3e-3, augment: int = 200, seed: int = 0):
         seqs, labels, pens = [], [], []
@@ -304,7 +286,13 @@ class DeepMMMatcher:
             seqs.append(point_features(tr.x[obs], tr.y[obs], tr.t[obs], tr.t0, self.norm))
             labels.append(tr.seg[obs])
             pens.append(matcher_locality_prior(self.net, tr.x[obs], tr.y[obs]))
-        _train_full_vocab(self.model, seqs, labels, pens, epochs, lr, seed)
+
+        def nll(i):
+            lp = self.model.logits(seqs[i], pens[i]).log_softmax(axis=-1)
+            return -lp[np.arange(len(labels[i])), labels[i]].mean()
+
+        fit(self.model.parameters(), len(seqs), lambda idx: mean_of([nll(i) for i in idx]),
+            epochs, lr, batch=8, seed=seed)
         return self
 
     def match(self, xs, ys, ts, t0) -> np.ndarray:
@@ -319,10 +307,7 @@ class RNTrajRecRouteMatcher(DeepMMMatcher):
     defining trait vs MMA's candidate restriction); no augmentation."""
 
     name = "RNTrajRec"
-
-    def __init__(self, net, index, norm, d: int = 32, seed: int = 0):
-        self.net, self.index, self.norm = net, index, norm
-        self.model = _FullVocabModel(segment_feature_matrix(net, norm, seed=seed), d, "transformer", seed)
+    encoder = "transformer"
 
     def fit(self, city: CityData, epochs: int = 8, lr: float = 3e-3, augment: int = 0, seed: int = 0):
         return super().fit(city, epochs=epochs, lr=lr, augment=augment, seed=seed)
@@ -365,17 +350,12 @@ class GraphMMMatcher:
                 Y.append(s.label[i])
         X = np.array(X)  # (N, k, d+6)
         Y = np.array(Y, dtype=np.int64)
-        opt = Adam(self.mlp.parameters(), lr=lr)
-        rng = np.random.default_rng(seed)
-        for _ in range(epochs):
-            order = rng.permutation(len(X))
-            for lo in range(0, len(order), batch):
-                idx = order[lo : lo + batch]
-                opt.zero_grad()
-                logits = self.mlp(Tensor(X[idx])).reshape(len(idx), X.shape[1])
-                lp = logits.log_softmax(axis=-1)
-                (-lp[np.arange(len(idx)), Y[idx]].mean()).backward()
-                opt.step()
+
+        def batch_loss(idx):
+            logits = self.mlp(Tensor(X[idx])).reshape(len(idx), X.shape[1])
+            return -logits.log_softmax(axis=-1)[np.arange(len(idx)), Y[idx]].mean()
+
+        fit(self.mlp.parameters(), len(X), batch_loss, epochs, lr, batch, seed)
         return self
 
     def match(self, xs, ys, ts, t0) -> np.ndarray:

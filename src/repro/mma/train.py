@@ -2,9 +2,10 @@
 
 Training data comes out of the city's Spark ``points`` DataFrame (train
 split, observed points only → driver via Arrow ``toPandas``), is
-featureised once, then optimised with Adam over shuffled mini-batches of
-trajectories. Models are small (d≈32) and sparse trajectories short, so the
-numpy loop trains each city in seconds at bench scale.
+featureised once, then optimised by :func:`repro.nn.optim.fit` (Adam over
+shuffled mini-batches of trajectories). Models are small (d≈32) and sparse
+trajectories short, so the numpy loop trains each city in seconds at bench
+scale.
 """
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import numpy as np
 
 from repro.mma.features import K_C, MMASample, build_mma_sample
 from repro.mma.model import MMAModel
-from repro.nn.optim import Adam
+from repro.nn.autodiff import mean_of
+from repro.nn.optim import fit
 from repro.roadnet.node2vec import node2vec_embeddings
 from repro.traj.datasets import CityData
 
@@ -99,24 +101,11 @@ def train_mma(
     model = MMAModel(
         city.net.n_segments, d0=d, d2=d, seed=seed, n2v_init=n2v, use_context=use_context
     )
-    opt = Adam(model.parameters(), lr=lr)
-    rng = np.random.default_rng(seed)
-    for ep in range(epochs):
-        if ep == (epochs * 3) // 4:
-            opt.lr *= 0.3  # simple step decay for the final quarter
-        order = rng.permutation(len(samples))
-        total = 0.0
-        for lo in range(0, len(order), batch):
-            opt.zero_grad()
-            chunk = order[lo : lo + batch]
-            losses = [model.loss(samples[i]) for i in chunk]
-            loss = losses[0]
-            for l in losses[1:]:
-                loss = loss + l
-            loss = loss * (1.0 / len(chunk))
-            loss.backward()
-            opt.step()
-            total += loss.item() * len(chunk)
-        if verbose:
-            print(f"[mma:{city.name}] epoch {ep + 1}/{epochs} loss={total / len(samples):.4f}")
+    means = fit(
+        model.parameters(), len(samples), lambda idx: mean_of([model.loss(samples[i]) for i in idx]),
+        epochs, lr, batch, seed, decay_epoch=(epochs * 3) // 4,  # step decay for the final quarter
+    )
+    if verbose:
+        for ep, loss in enumerate(means):
+            print(f"[mma:{city.name}] epoch {ep + 1}/{epochs} loss={loss:.4f}")
     return model

@@ -355,6 +355,16 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
+def mean_of(tensors: Sequence[Tensor]) -> Tensor:
+    """Mean of equal-shape tensors: summed left to right, then scaled by
+    ``1 / len``. Every batch and per-tick loss average goes through here, so
+    the float rounding (and hence every trained weight) is one fixed recipe."""
+    total = tensors[0]
+    for t in tensors[1:]:
+        total = total + t
+    return total * (1.0 / len(tensors))
+
+
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of scalar ``f`` at ``x`` (test helper)."""
     g = np.zeros_like(x, dtype=np.float64)

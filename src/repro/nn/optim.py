@@ -1,5 +1,8 @@
-"""Adam optimizer (Kingma & Ba) for :class:`repro.nn.autodiff.Tensor` params."""
+"""Adam optimizer (Kingma & Ba) for :class:`repro.nn.autodiff.Tensor` params,
+and :func:`fit`, the mini-batch training loop every learned model shares."""
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -50,3 +53,44 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
+
+
+def fit(
+    params: list[Tensor],
+    n: int,
+    batch_loss: Callable[[np.ndarray], Tensor | None],
+    epochs: int,
+    lr: float,
+    batch: int,
+    seed: int,
+    decay_epoch: int | None = None,
+) -> list[float]:
+    """Train ``params`` with Adam over shuffled mini-batches of ``n`` items.
+
+    Each epoch takes one permutation of ``range(n)`` from a generator seeded
+    once with ``seed``; per slice of ``batch`` indices it runs ``zero_grad``,
+    ``batch_loss(idx)``, ``backward`` and ``step``. A batch whose loss is
+    ``None`` (no trainable term) is skipped without a step. From epoch
+    ``decay_epoch`` on the learning rate is 0.3× (a step decay). Returns the
+    mean loss of each epoch, each stepped batch weighted by its size.
+    """
+    opt = Adam(params, lr=lr)
+    rng = np.random.default_rng(seed)
+    means = []
+    for ep in range(epochs):
+        if ep == decay_epoch:
+            opt.lr *= 0.3
+        order = rng.permutation(n)
+        total, cnt = 0.0, 0
+        for lo in range(0, n, batch):
+            idx = order[lo : lo + batch]
+            opt.zero_grad()
+            loss = batch_loss(idx)
+            if loss is None:
+                continue
+            loss.backward()
+            opt.step()
+            total += loss.item() * len(idx)
+            cnt += len(idx)
+        means.append(total / max(cnt, 1))
+    return means

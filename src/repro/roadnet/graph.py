@@ -11,7 +11,9 @@ exit ``(vx, vy)``; a *map-matched point* ``(i, r)`` with position ratio
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +46,15 @@ class RoadNetwork:
     @property
     def n_nodes(self) -> int:
         return len(self.node_x)
+
+    @cached_property
+    def digest(self) -> str:
+        """Digest of the arrays every other attribute derives from: equal
+        digests mean the same network. Computed once per object."""
+        h = hashlib.sha1()
+        for a in (self.seg_u, self.seg_v, self.ux, self.uy, self.vx, self.vy, self.node_x, self.node_y):
+            h.update(f"{a.dtype}{a.shape}".encode() + np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
 
     def successors(self, seg: int) -> np.ndarray:
         """Segments that can follow ``seg`` on a route (share its exit node)."""

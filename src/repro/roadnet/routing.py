@@ -161,17 +161,15 @@ class NetworkDistance:
         return float(d)
 
 
-# Per-process cache of NetworkDistance objects keyed by a cheap network
-# fingerprint. Spark python workers are reused across Arrow batches, so
-# Dijkstra results accumulate across trajectories of the same city.
-_ND_CACHE: dict[tuple, NetworkDistance] = {}
+# Per-process cache of NetworkDistance objects keyed by the network's
+# digest. Spark python workers are reused across Arrow batches, so Dijkstra
+# results accumulate across trajectories of the same city.
+_ND_CACHE: dict[str, NetworkDistance] = {}
 
 
 def network_distance_for(net: RoadNetwork) -> NetworkDistance:
     """Shared cached :class:`NetworkDistance` for ``net`` in this process."""
-    key = (net.n_segments, net.n_nodes, float(net.length.sum()))
-    nd = _ND_CACHE.get(key)
+    nd = _ND_CACHE.get(net.digest)
     if nd is None:
-        nd = NetworkDistance(net)
-        _ND_CACHE[key] = nd
+        nd = _ND_CACHE[net.digest] = NetworkDistance(net)
     return nd

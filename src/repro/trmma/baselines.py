@@ -27,18 +27,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mma.baselines import segment_feature_matrix
+from repro.mma.baselines import distance_penalty, heading_cos as _heading_cos, segment_feature_matrix
 from repro.mma.features import point_features
 from repro.mma.infer import match_and_stitch
-from repro.nn.autodiff import Tensor, concat
+from repro.nn.autodiff import Tensor, concat, mean_of
 from repro.nn.gru import BiGRU, GRU, GRUCell
 from repro.nn.layers import Linear, MLP, Module
-from repro.nn.optim import Adam
+from repro.nn.optim import fit
 from repro.nn.transformer import TransformerEncoder
 from repro.roadnet.node2vec import node2vec_embeddings
 from repro.roadnet.spatial_index import SegmentIndex
 from repro.traj.datasets import CityData
 from repro.traj.ops import locate_on_route, route_cum_lengths, route_offset
+from repro.trmma.features import positions_in_route
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +60,6 @@ class LinearRecoverer:
         segs_m, _, route = match_and_stitch(self.matcher, xs, ys, ts, t0, self.costs)
         cum = route_cum_lengths(net, route)
         # offsets of observed points along the route (monotone projection)
-        from repro.trmma.features import positions_in_route
-
         pos = positions_in_route(np.asarray(route), segs_m)
         offs = []
         for i, (s, k) in enumerate(zip(segs_m, pos)):
@@ -74,9 +73,6 @@ class LinearRecoverer:
             _, sg, rr = locate_on_route(net, route, float(d), cum)
             segs[j], ratios[j] = sg, rr
         return segs, ratios
-
-
-from repro.mma.baselines import heading_cos as _heading_cos  # noqa: E402
 
 
 def snap_with_direction(net, index, px, py, k: int = 6, w_dir: float = 30.0):
@@ -99,6 +95,46 @@ def snap_with_direction(net, index, px, py, k: int = 6, w_dir: float = 30.0):
         segs[i] = sg
         ratios[i], _ = net.project(float(px[i]), float(py[i]), sg)
     return segs, ratios
+
+
+# ---------------------------------------------------------------------------
+# Learned recoverers
+# ---------------------------------------------------------------------------
+class _LearnedRecoverer:
+    """Shared base of the learned recovery baselines: construction, the
+    parameter list and training.
+
+    A family defines ``_build(rng)`` (its modules, drawn from ``rng`` in a
+    fixed order), ``_parts`` (the module attributes, in parameter order),
+    ``_targets(tr)`` (the supervision read off a ground-truth trajectory)
+    and ``_loss(d)`` (one training trajectory's loss tensor).
+    """
+
+    _parts: tuple[str, ...] = ()
+
+    def __init__(self, net, index: SegmentIndex, norm: dict, eps: float, d: int = 32, seed: int = 0):
+        self.net, self.index, self.norm, self.eps, self.d, self.seed = net, index, norm, eps, d, seed
+        self._build(np.random.default_rng(seed))
+
+    def parameters(self):
+        # Adam's gradient clip sums over this order, so the order is part
+        # of the trained weights
+        return [p for attr in self._parts if hasattr(self, attr) for p in getattr(self, attr).parameters()]
+
+    def fit(self, city: CityData, epochs: int = 4, lr: float = 2e-3, batch: int = 4, seed: int = 0,
+            verbose: bool = False):
+        data = []
+        for tr in city.trajs("train"):
+            obs = np.where(tr.observed)[0]
+            if len(obs) < 2:
+                continue
+            data.append((tr.x[obs], tr.y[obs], tr.t[obs], tr.t0, obs, len(tr.t)) + self._targets(tr))
+        means = fit(self.parameters(), len(data), lambda idx: mean_of([self._loss(data[i]) for i in idx]),
+                    epochs, lr, batch, seed)
+        if verbose:
+            for ep, loss in enumerate(means):
+                print(f"[{self.name}:{city.name}] epoch {ep + 1}/{epochs} loss={loss:.4f}")
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +181,29 @@ class _FullVocabDecoder(Module):
         return self.gru(inp, h)
 
 
-class _Seq2SegRecoverer:
+class _Seq2SegRecoverer(_LearnedRecoverer):
     """Shared skeleton of the all-segment seq2seq recovery baselines.
 
-    Subclasses define ``_encode(X, xs, ys) -> (enc_states (m, d), h0)``
-    where ``m`` may be 1 for pooled (representation-learning) encoders.
+    Subclasses define ``_build_encoder(rng)`` and
+    ``_encode(X, xs, ys) -> (enc_states (m, d), h0)`` where ``m`` may be 1
+    for pooled (representation-learning) encoders.
     """
 
     name = "Seq2Seg"
     use_step_attention = True
+    _parts = ("dec", "inp", "enc", "enc2", "pool")
 
-    def __init__(self, net, index: SegmentIndex, norm: dict, eps: float, d: int = 32, seed: int = 0):
-        self.net, self.index, self.norm, self.eps, self.d = net, index, norm, eps, d
-        rng = np.random.default_rng(seed)
-        self.seg_feats = segment_feature_matrix(net, norm, seed=seed)
-        self.dec = _FullVocabDecoder(self.seg_feats, d, rng)
-        self.inp = Linear(4, d, rng)
+    def _build(self, rng):
+        self.seg_feats = segment_feature_matrix(self.net, self.norm, seed=self.seed)
+        self.dec = _FullVocabDecoder(self.seg_feats, self.d, rng)
+        self.inp = Linear(4, self.d, rng)
         self._build_encoder(rng)
+
+    def _targets(self, tr):
+        return tr.seg, tr.ratio
+
+    def _loss(self, d):
+        return self._rollout(*d[:6], teacher=d[6:])
 
     # -- subclass hooks ----------------------------------------------------
     def _build_encoder(self, rng):
@@ -170,19 +212,6 @@ class _Seq2SegRecoverer:
     def _encode(self, X: np.ndarray, xs, ys):
         states = self.enc(self.inp(Tensor(X)))
         return states, states.mean(axis=0)
-
-    def _modules(self) -> list[Module]:
-        mods = [self.dec, self.inp]
-        for attr in ("enc", "enc2", "pool"):
-            if hasattr(self, attr):
-                mods.append(getattr(self, attr))
-        return mods
-
-    def parameters(self):
-        out = []
-        for m in self._modules():
-            out.extend(m.parameters())
-        return out
 
     # -- shared machinery --------------------------------------------------
     def _obs_X(self, xs, ys, ts, t0, n_ticks):
@@ -213,8 +242,6 @@ class _Seq2SegRecoverer:
         # originals carry heading in their road-aware features)
         bx = np.interp(np.arange(n_ticks), np.asarray(idxs, dtype=float), np.asarray(xs))
         by = np.interp(np.arange(n_ticks), np.asarray(idxs, dtype=float), np.asarray(ys))
-        from repro.mma.baselines import distance_penalty
-
         pen = distance_penalty(self.net, bx, by, delta=150.0)
         pen = pen + 4.0 * _heading_cos(self.net, bx, by)
         losses = []
@@ -240,41 +267,10 @@ class _Seq2SegRecoverer:
                 ratios[tick] = r
             h = self.dec.advance(h, E[k], r, float(taus[tick]))
         if teacher is not None:
-            total = losses[0]
-            for l in losses[1:]:
-                total = total + l
-            return total * (1.0 / n_ticks)
+            return mean_of(losses)
         return segs, ratios
 
     # -- public API --------------------------------------------------------
-    def fit(self, city: CityData, epochs: int = 4, lr: float = 2e-3, batch: int = 4, seed: int = 0,
-            verbose: bool = False):
-        data = []
-        for tr in city.trajs("train"):
-            obs = np.where(tr.observed)[0]
-            if len(obs) < 2:
-                continue
-            data.append((tr.x[obs], tr.y[obs], tr.t[obs], tr.t0, obs, len(tr.t), tr.seg, tr.ratio))
-        opt = Adam(self.parameters(), lr=lr)
-        rng = np.random.default_rng(seed)
-        for ep in range(epochs):
-            order = rng.permutation(len(data))
-            for lo in range(0, len(order), batch):
-                opt.zero_grad()
-                chunk = order[lo : lo + batch]
-                losses = [
-                    self._rollout(d[0], d[1], d[2], d[3], d[4], d[5], teacher=(d[6], d[7]))
-                    for d in (data[i] for i in chunk)
-                ]
-                loss = losses[0]
-                for l in losses[1:]:
-                    loss = loss + l
-                (loss * (1.0 / len(losses))).backward()
-                opt.step()
-            if verbose:
-                print(f"[{self.name}:{city.name}] epoch {ep + 1}/{epochs}")
-        return self
-
     def recover(self, xs, ys, ts, t0, idxs, n_ticks):
         return self._rollout(xs, ys, ts, t0, idxs, n_ticks)
 
@@ -462,57 +458,23 @@ def _kalman_smooth(px: np.ndarray, py: np.ndarray, dt: float, q: float = 0.5, r:
     return xs_s[:, 0], xs_s[:, 1]
 
 
-class _FreeSpaceRecoverer:
+class _FreeSpaceRecoverer(_LearnedRecoverer):
     """Base: predict per-tick coordinates, then snap to nearest segment."""
 
     name = "FreeSpace"
+    _parts = ("inp", "enc", "head")
 
-    def __init__(self, net, index, norm, eps, d: int = 32, seed: int = 0):
-        self.net, self.index, self.norm, self.eps, self.d = net, index, norm, eps, d
-        self._build(np.random.default_rng(seed))
+    def _targets(self, tr):
+        return tr.tx, tr.ty
 
-    def _build(self, rng):
-        raise NotImplementedError
-
-    def parameters(self):
-        out = []
-        for attr in ("inp", "enc", "head"):
-            if hasattr(self, attr):
-                out.extend(getattr(self, attr).parameters())
-        return out
+    def _loss(self, d):
+        span = max(self.norm["x1"] - self.norm["x0"], 1e-9)
+        pred = self._coords(*d[:6])
+        target = Tensor(np.stack(d[6:], axis=1) / span)
+        return ((pred * (1.0 / span) - target) ** 2).mean()
 
     def _coords(self, xs, ys, ts, t0, idxs, n_ticks) -> Tensor:
         raise NotImplementedError
-
-    def fit(self, city: CityData, epochs: int = 4, lr: float = 2e-3, batch: int = 4, seed: int = 0,
-            verbose: bool = False):
-        span = max(self.norm["x1"] - self.norm["x0"], 1e-9)
-        data = []
-        for tr in city.trajs("train"):
-            obs = np.where(tr.observed)[0]
-            if len(obs) < 2:
-                continue
-            data.append((tr.x[obs], tr.y[obs], tr.t[obs], tr.t0, obs, len(tr.t), tr.tx, tr.ty))
-        opt = Adam(self.parameters(), lr=lr)
-        rng = np.random.default_rng(seed)
-        for ep in range(epochs):
-            order = rng.permutation(len(data))
-            for lo in range(0, len(order), batch):
-                opt.zero_grad()
-                losses = []
-                for i in order[lo : lo + batch]:
-                    d = data[i]
-                    pred = self._coords(d[0], d[1], d[2], d[3], d[4], d[5])
-                    target = Tensor(np.stack([d[6], d[7]], axis=1) / span)
-                    losses.append(((pred * (1.0 / span) - target) ** 2).mean())
-                loss = losses[0]
-                for l in losses[1:]:
-                    loss = loss + l
-                (loss * (1.0 / len(losses))).backward()
-                opt.step()
-            if verbose:
-                print(f"[{self.name}:{city.name}] epoch {ep + 1}/{epochs}")
-        return self
 
     def recover(self, xs, ys, ts, t0, idxs, n_ticks):
         coords = self._coords(xs, ys, ts, t0, idxs, n_ticks).data
@@ -535,8 +497,6 @@ class DHTRRecoverer(_FreeSpaceRecoverer):
         self.head = MLP([self.d + 1, self.d, 2], rng)
 
     def _coords(self, xs, ys, ts, t0, idxs, n_ticks) -> Tensor:
-        from repro.mma.features import point_features
-
         X = point_features(np.asarray(xs), np.asarray(ys), np.asarray(ts), t0, self.norm)
         tau_obs = (np.asarray(ts) / max((n_ticks - 1) * self.eps, 1e-9))[:, None]
         states = self.enc(self.inp(Tensor(np.concatenate([X, tau_obs], axis=1))))  # (ℓ, d)
@@ -565,8 +525,6 @@ class TERIRecoverer(_FreeSpaceRecoverer):
         self.head = MLP([self.d + 1, self.d, 2], rng)
 
     def _coords(self, xs, ys, ts, t0, idxs, n_ticks) -> Tensor:
-        from repro.mma.features import point_features
-
         xs = np.asarray(xs)
         ys = np.asarray(ys)
         X = point_features(xs, ys, np.asarray(ts), t0, self.norm)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.autodiff import Tensor, concat
+from repro.nn.autodiff import Tensor, concat, mean_of
 from repro.nn.gru import GRUCell
 from repro.nn.layers import Embedding, Linear, MLP, Module
 from repro.nn.transformer import TransformerEncoder
@@ -189,7 +189,6 @@ class TRMMAModel(Module):
         obs_by_tick = {int(t): i for i, t in enumerate(s.obs_tick)}
         exp_offs = self.expected_offsets(s)
         terms = []
-        n_missing = 0
         for tick in range(s.n_ticks):
             oi = obs_by_tick.get(tick)
             if oi is not None:
@@ -219,15 +218,11 @@ class TRMMAModel(Module):
             diff = r - Tensor(np.array([s.tick_ratio[tick]]))
             mae = (diff.relu() + (-diff).relu()).reshape(())  # |diff|, Eq.(20)
             terms.append(bce + mae * lam)
-            n_missing += 1
             # teacher forcing: GT segment/ratio feed the next state
             h = self.gru(self._gru_in(H, k_gt, float(s.tick_ratio[tick]), float(s.tick_tau[tick])), h)
         if not terms:
             return None, 0
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        return total * (1.0 / n_missing), n_missing
+        return mean_of(terms), len(terms)
 
     # -- inference --------------------------------------------------------
     def recover(self, s: TrmmaSample) -> tuple[np.ndarray, np.ndarray]:

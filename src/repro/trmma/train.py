@@ -7,7 +7,8 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import functions as F
 
-from repro.nn.optim import Adam
+from repro.nn.autodiff import mean_of
+from repro.nn.optim import fit
 from repro.roadnet.node2vec import node2vec_embeddings
 from repro.traj.datasets import CityData
 from repro.trmma.features import build_train_sample
@@ -98,8 +99,8 @@ def train_trmma(
     """Train TRMMA on a city's train split (GT routes, teacher forcing).
 
     ``use_dualformer=False`` is the paper's TRMMA-DF ablation (H = R).
-    Pass the same ``time_per_meter`` (from :func:`segment_time_stats`) used
-    at inference so the expected-offset prior matches.
+    Pass the same ``time_per_meter`` (from :func:`segment_time_stats_trajs`)
+    used at inference so the expected-offset prior matches.
     """
     if n2v is None:
         n2v = node2vec_embeddings(city.net, d=d_h, seed=seed)
@@ -109,28 +110,13 @@ def train_trmma(
     model = TRMMAModel(
         city.net.n_segments, d_h=d_h, seed=seed, n2v_init=n2v, use_dualformer=use_dualformer
     )
-    opt = Adam(model.parameters(), lr=lr)
-    rng = np.random.default_rng(seed)
-    for ep in range(epochs):
-        order = rng.permutation(len(samples))
-        total, cnt = 0.0, 0
-        for lo in range(0, len(order), batch):
-            opt.zero_grad()
-            losses = []
-            for i in order[lo : lo + batch]:
-                l, n = model.loss(samples[i], lam=lam)
-                if l is not None:
-                    losses.append(l)
-            if not losses:
-                continue
-            loss = losses[0]
-            for l in losses[1:]:
-                loss = loss + l
-            loss = loss * (1.0 / len(losses))
-            loss.backward()
-            opt.step()
-            total += loss.item() * len(losses)
-            cnt += len(losses)
-        if verbose:
-            print(f"[trmma:{city.name}] epoch {ep + 1}/{epochs} loss={total / max(cnt, 1):.4f}")
+
+    def batch_loss(idx):
+        losses = [loss for loss, _ in (model.loss(samples[i], lam=lam) for i in idx) if loss is not None]
+        return mean_of(losses) if losses else None
+
+    means = fit(model.parameters(), len(samples), batch_loss, epochs, lr, batch, seed)
+    if verbose:
+        for ep, loss in enumerate(means):
+            print(f"[trmma:{city.name}] epoch {ep + 1}/{epochs} loss={loss:.4f}")
     return model

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.autodiff import Tensor, concat, numeric_grad, stack
+from repro.nn.autodiff import Tensor, concat, mean_of, numeric_grad, stack
 
 RNG = np.random.default_rng(42)
 
@@ -91,6 +91,20 @@ def test_sum_gradients(axis, keepdims):
         return float((Tensor(v).sum(axis=axis, keepdims=keepdims) ** 2).sum().data)
 
     assert np.abs(x.grad - numeric_grad(f, x0.copy())).max() < 1e-6
+
+
+def test_mean_of_gradients():
+    parts = [RNG.normal(size=(2, 3)) for _ in range(3)]
+    ts = [Tensor(p.copy(), requires_grad=True) for p in parts]
+    (mean_of([t.tanh() for t in ts]) ** 2).sum().backward()
+    for i, t in enumerate(ts):
+
+        def f(v, i=i):
+            return float((mean_of([Tensor(v if j == i else p).tanh() for j, p in enumerate(parts)]) ** 2).sum().data)
+
+        assert np.abs(t.grad - numeric_grad(f, parts[i].copy())).max() < 1e-6
+    assert np.allclose(mean_of(ts).data, np.mean(parts, axis=0))
+    assert np.array_equal(mean_of(ts[:1]).data, parts[0])
 
 
 def test_mean_matches_sum_scaled():

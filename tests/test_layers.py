@@ -4,7 +4,7 @@ import pytest
 
 from repro.nn.autodiff import Tensor, numeric_grad
 from repro.nn.layers import Embedding, LayerNorm, Linear, MLP, Module, glorot
-from repro.nn.optim import Adam
+from repro.nn.optim import Adam, fit
 
 RNG = np.random.default_rng(7)
 
@@ -145,6 +145,60 @@ def test_adam_missing_grad_treated_as_zero():
     opt = Adam([x], lr=0.1)
     opt.step()  # no backward happened
     assert np.isfinite(x.data).all()
+
+
+def test_fit_skips_batches_without_loss(monkeypatch):
+    """A batch whose loss is None takes no step: parameters and Adam's
+    step count stay as they were."""
+    opts = []
+    zero_grad = Adam.zero_grad
+    monkeypatch.setattr(Adam, "zero_grad", lambda self: (opts.append(self), zero_grad(self)))
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    assert fit([x], 6, lambda idx: None, epochs=2, lr=0.1, batch=2, seed=0) == [0.0, 0.0]
+    assert len(opts) == 6 and opts[-1].t == 0
+    assert np.array_equal(x.data, [1.0, -2.0])
+    # only the batch holding item 0 has a loss: one step per epoch
+    fit([x], 6, lambda idx: (x * x).sum() if 0 in idx else None, epochs=2, lr=0.1, batch=2, seed=0)
+    assert opts[-1].t == 2
+    assert (np.abs(x.data) < [1.0, 2.0]).all()
+
+
+def test_fit_decays_lr_from_decay_epoch(monkeypatch):
+    lrs = []
+    step = Adam.step
+    monkeypatch.setattr(Adam, "step", lambda self: (lrs.append(self.lr), step(self)))
+    x = Tensor(np.array([1.0]), requires_grad=True)
+    fit([x], 4, lambda idx: (x * x).sum(), epochs=4, lr=0.1, batch=2, seed=0, decay_epoch=2)
+    assert lrs == pytest.approx([0.1] * 4 + [0.03] * 4)
+    lrs.clear()
+    fit([x], 4, lambda idx: (x * x).sum(), epochs=3, lr=0.1, batch=2, seed=0)
+    assert lrs == pytest.approx([0.1] * 6)
+
+
+def test_fit_matches_explicit_adam_loop():
+    """fit is the loop it replaced: one generator for all epochs' shuffles,
+    zero_grad / loss / backward / step per slice, bit-identical weights."""
+    data = RNG.normal(size=(7, 3))
+
+    def model():
+        return Linear(3, 1, np.random.default_rng(5))
+
+    def loss(lin, idx):
+        return ((lin(Tensor(data[idx])) - 1.0) ** 2).mean()
+
+    a = model()
+    means = fit(a.parameters(), len(data), lambda idx: loss(a, idx), epochs=3, lr=0.05, batch=3, seed=2)
+    b = model()
+    opt = Adam(b.parameters(), lr=0.05)
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        order = rng.permutation(len(data))
+        for lo in range(0, len(data), 3):
+            opt.zero_grad()
+            loss(b, order[lo : lo + 3]).backward()
+            opt.step()
+    assert all(np.array_equal(p.data, q.data) for p, q in zip(a.parameters(), b.parameters()))
+    assert len(means) == 3 and means[-1] < means[0]
 
 
 def test_module_pickle_roundtrip():

@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 
 from repro.mma.baselines import (
+    DeepMMMatcher,
+    GraphMMMatcher,
     HMMMatcher,
     LHMMMatcher,
     NearestMatcher,
+    RNTrajRecRouteMatcher,
     _viterbi,
     distance_penalty,
     segment_feature_matrix,
@@ -65,6 +68,31 @@ def test_lhmm_fitted_valid_and_beats_nearest(net_small, index_small, pt_norm, tr
         acc_l += int((sl == tr.seg[o]).sum())
         acc_n += int((near.match(tr.x[o], tr.y[o], tr.t[o], tr.t0) == tr.seg[o]).sum())
     assert acc_l > acc_n
+
+
+def test_learned_matchers_fit_and_match(net_small, index_small, pt_norm, trajs_small, one_traj):
+    """DeepMM, RNTrajRec-route and GraphMM fit one epoch and match every
+    observed point to a valid segment."""
+    tr, o = one_traj
+
+    class MiniCity:
+        net = net_small
+        index = index_small
+        norm = pt_norm
+        name = "pt"
+
+        def trajs(self, split):
+            return trajs_small
+
+    city = MiniCity()
+    for m in (
+        DeepMMMatcher(net_small, index_small, pt_norm, d=12).fit(city, epochs=1, augment=0),
+        RNTrajRecRouteMatcher(net_small, index_small, pt_norm, d=12).fit(city, epochs=1),
+        GraphMMMatcher(net_small, index_small, pt_norm, d=12).fit(city, epochs=1),
+    ):
+        segs = m.match(tr.x[o], tr.y[o], tr.t[o], tr.t0)
+        assert segs.shape == (len(o),)
+        assert ((segs >= 0) & (segs < net_small.n_segments)).all()
 
 
 def test_viterbi_prefers_consistent_path():

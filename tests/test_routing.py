@@ -3,6 +3,7 @@ distances."""
 import numpy as np
 import pytest
 
+from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.routing import (
     HistoricalCosts,
     NetworkDistance,
@@ -114,3 +115,26 @@ def test_network_distance_cache_shared(net_small):
     a = network_distance_for(net_small)
     b = network_distance_for(net_small)
     assert a is b
+
+
+def _triangle(last_u: int, last_v: int):
+    """Nodes (0,0), (100,0), (0,100); segments 0→1, 1→2 and last_u→last_v."""
+    node_x, node_y = np.array([0.0, 100.0, 0.0]), np.array([0.0, 0.0, 100.0])
+    seg_u, seg_v = np.array([0, 1, last_u]), np.array([1, 2, last_v])
+    return RoadNetwork(
+        seg_u, seg_v, node_x[seg_u], node_y[seg_u], node_x[seg_v], node_y[seg_v], node_x, node_y,
+        out_segs=[np.where(seg_u == k)[0] for k in range(3)],
+        in_segs=[np.where(seg_v == k)[0] for k in range(3)],
+        twin=np.full(3, -1),
+    )
+
+
+def test_network_distance_cache_tells_apart_equal_sized_networks():
+    """Two triangles alike in segment count, node count and total length,
+    differing only in the direction of one segment, get their own caches."""
+    closed, open_ = _triangle(2, 0), _triangle(0, 2)
+    assert NetworkDistance(closed).directed(0, 0.5, 2, 0.5) == pytest.approx(50 + 100 * np.sqrt(2) + 50)
+    assert NetworkDistance(open_).directed(0, 0.5, 2, 0.5) == np.inf
+    assert network_distance_for(closed).directed(0, 0.5, 2, 0.5) == pytest.approx(241.42, abs=0.01)
+    assert network_distance_for(open_).directed(0, 0.5, 2, 0.5) == np.inf
+    assert network_distance_for(_triangle(0, 2)) is network_distance_for(open_)

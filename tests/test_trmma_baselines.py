@@ -6,9 +6,13 @@ from repro.mma.baselines import HMMMatcher, NearestMatcher
 from repro.trmma.baselines import (
     DHTRRecoverer,
     LinearRecoverer,
+    MMSTGEDRecoverer,
     MTrajRecRecoverer,
+    RNTrajRecRecoverer,
+    ST2VecDecRecoverer,
     TERIRecoverer,
     TrajCLDecRecoverer,
+    TrajGATDecRecoverer,
     _heading_cos,
     _kalman_smooth,
     snap_with_direction,
@@ -103,7 +107,8 @@ def test_fitted_recoverers_emit_all_ticks(net_small, index_small, pt_norm, trajs
             return trajs_small[:6]
 
     city = MiniCity()
-    for cls in (MTrajRecRecoverer, TrajCLDecRecoverer, DHTRRecoverer, TERIRecoverer):
+    for cls in (MTrajRecRecoverer, RNTrajRecRecoverer, MMSTGEDRecoverer, TrajGATDecRecoverer,
+                TrajCLDecRecoverer, ST2VecDecRecoverer, DHTRRecoverer, TERIRecoverer):
         rec = cls(net_small, index_small, pt_norm, 15.0, d=12, seed=0).fit(city, epochs=1)
         segs, ratios = _recover(rec, tr, obs)
         assert len(segs) == len(tr.t)
