@@ -56,6 +56,16 @@ class RoadNetwork:
             h.update(f"{a.dtype}{a.shape}".encode() + np.ascontiguousarray(a).tobytes())
         return h.hexdigest()
 
+    @cached_property
+    def adjacency(self) -> list:
+        """Per node, its out-edges as ``(seg, exit_node)`` Python ints, for
+        the node-level search of :func:`repro.roadnet.routing.shortest_paths`.
+        Computed once per object."""
+        adj = [[] for _ in range(self.n_nodes)]
+        for s, (u, v) in enumerate(zip(self.seg_u.tolist(), self.seg_v.tolist())):
+            adj[u].append((s, v))
+        return adj
+
     def successors(self, seg: int) -> np.ndarray:
         """Segments that can follow ``seg`` on a route (share its exit node)."""
         return self.out_segs[self.seg_v[seg]]
@@ -104,11 +114,3 @@ class RoadNetwork:
         xs = np.concatenate([self.ux, self.vx])
         ys = np.concatenate([self.uy, self.vy])
         return float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max())
-
-    def node_adjacency(self) -> list:
-        """Per-node list of ``(neighbor_node, seg_id, length)`` out-edges,
-        for node-level Dijkstra in routing and network distances."""
-        adj = [[] for _ in range(self.n_nodes)]
-        for s in range(self.n_segments):
-            adj[self.seg_u[s]].append((int(self.seg_v[s]), s, float(self.length[s])))
-        return adj

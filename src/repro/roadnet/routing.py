@@ -1,15 +1,19 @@
-"""Route planning and network distances.
+"""Route planning and network distances over one shortest-path search.
 
-``plan_route`` fills the gap between two matched segments (Algorithm 1
-lines 10-13). The paper uses the DA-based planner of [2], which follows
-historically popular continuations; our lite equivalent is Dijkstra over the
-segment graph with per-segment costs discounted by historical traversal
-counts (``HistoricalCosts``), falling back to pure shortest path when no
-history is supplied. See DESIGN.md §2.
+``shortest_paths`` is the program's single Dijkstra: a node-level search
+from one intersection under per-segment costs. Three callers share it:
 
-``NetworkDistance`` computes the road-network distance between two
-map-matched points (the MAE/RMSE metric of §VI-A), caching single-source
-node Dijkstra runs.
+* ``plan_route`` fills the gap between two matched segments (Algorithm 1
+  lines 10-13). The paper uses the DA-based planner of [2], which follows
+  historically popular continuations; our lite equivalent searches with
+  per-segment costs discounted by historical traversal counts
+  (``HistoricalCosts``), falling back to pure length when no history is
+  supplied. See DESIGN.md §2.
+* ``NetworkDistance`` computes the road-network distance between two
+  map-matched points (the MAE/RMSE metric of §VI-A and the FMM/LHMM
+  transitions), caching one search per origin node.
+* the trajectory generator (``repro.traj.generate``) draws driver routes
+  from a search under per-trip randomised costs.
 """
 from __future__ import annotations
 
@@ -18,6 +22,36 @@ import heapq
 import numpy as np
 
 from repro.roadnet.graph import RoadNetwork
+
+
+def shortest_paths(net: RoadNetwork, src_node: int, cost: np.ndarray, target: int = -1) -> tuple[list, list]:
+    """Dijkstra over intersection nodes from ``src_node``; entering segment
+    ``s`` costs ``cost[s]`` (positive).
+
+    Returns ``(dist, prev_seg)``, lists indexed by node: the cheapest cost
+    (``inf`` when unreachable) and the segment the cheapest path enters the
+    node by (``-1`` at the source and where unreachable). With ``target`` the
+    search stops once that node is settled; only its entries are then final.
+    """
+    c = cost.tolist()  # per-edge numpy indexing is several times slower
+    adj = net.adjacency
+    dist = [float("inf")] * net.n_nodes
+    prev = [-1] * net.n_nodes
+    dist[src_node] = 0.0
+    pq = [(0.0, src_node)]
+    while pq:
+        d, u = heapq.heappop(pq)
+        if d > dist[u]:
+            continue
+        if u == target:
+            break
+        for s, v in adj[u]:
+            nd = d + c[s]
+            if nd < dist[v]:
+                dist[v] = nd
+                prev[v] = s
+                heapq.heappush(pq, (nd, v))
+    return dist, prev
 
 
 class HistoricalCosts:
@@ -37,44 +71,26 @@ class HistoricalCosts:
         self.cost = net.length / (1.0 + w * np.log1p(counts))
 
 
-def plan_route(
-    net: RoadNetwork,
-    src: int,
-    dst: int,
-    costs: np.ndarray | None = None,
-    max_expansions: int = 20000,
-) -> list[int] | None:
+def plan_route(net: RoadNetwork, src: int, dst: int, costs: np.ndarray | None = None) -> list[int] | None:
     """Cheapest segment path ``src → dst`` (both inclusive).
 
-    Successors of a segment are the segments leaving its exit node. Returns
-    ``None`` when unreachable within the expansion budget (the paper notes
-    this is rare, ~0.06%; callers fall back to a straight concatenation).
+    Searches from ``src``'s exit node to ``dst``'s entrance node. Returns
+    ``None`` when unreachable (the paper notes this is rare, ~0.06%; callers
+    fall back to a straight concatenation).
     """
     if src == dst:
         return [src]
-    c = costs if costs is not None else net.length
-    dist = {src: 0.0}
-    prev: dict[int, int] = {}
-    pq = [(0.0, src)]
-    pops = 0
-    while pq and pops < max_expansions:
-        d, s = heapq.heappop(pq)
-        pops += 1
-        if s == dst:
-            path = [dst]
-            while path[-1] != src:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        if d > dist.get(s, np.inf):
-            continue
-        for nxt in net.successors(s):
-            nxt = int(nxt)
-            nd = d + float(c[nxt])
-            if nd < dist.get(nxt, np.inf):
-                dist[nxt] = nd
-                prev[nxt] = s
-                heapq.heappush(pq, (nd, nxt))
-    return None
+    start, goal = int(net.seg_v[src]), int(net.seg_u[dst])
+    dist, prev = shortest_paths(net, start, net.length if costs is None else costs, goal)
+    if dist[goal] == float("inf"):
+        return None
+    path = [dst]
+    node = goal
+    while node != start:
+        path.append(prev[node])
+        node = int(net.seg_u[prev[node]])
+    path.append(src)
+    return path[::-1]
 
 
 def stitch_route(net: RoadNetwork, segs: list[int], costs: np.ndarray | None = None) -> list[int]:
@@ -111,49 +127,29 @@ class NetworkDistance:
 
     def __init__(self, net: RoadNetwork):
         self.net = net
-        self.adj = net.node_adjacency()
         self._cache: dict[int, np.ndarray] = {}
 
     def _sssp(self, src_node: int) -> np.ndarray:
         hit = self._cache.get(src_node)
-        if hit is not None:
-            return hit
-        n = self.net.n_nodes
-        dist = np.full(n, np.inf)
-        dist[src_node] = 0.0
-        pq = [(0.0, src_node)]
-        while pq:
-            d, u = heapq.heappop(pq)
-            if d > dist[u]:
-                continue
-            for v, _s, w in self.adj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(pq, (nd, v))
-        self._cache[src_node] = dist
-        return dist
-
-    def _directed(self, e1: int, r1: float, e2: int, r2: float) -> float:
-        net = self.net
-        if e1 == e2:
-            if r2 >= r1:
-                return (r2 - r1) * float(net.length[e1])
-            # must loop around: remaining + cycle back to own entrance
-            d = self._sssp(int(net.seg_v[e1]))[int(net.seg_u[e1])]
-            return (1 - r1) * float(net.length[e1]) + d + r2 * float(net.length[e2])
-        d = self._sssp(int(net.seg_v[e1]))[int(net.seg_u[e2])]
-        return (1 - r1) * float(net.length[e1]) + d + r2 * float(net.length[e2])
+        if hit is None:
+            # an array holds a cached row in a quarter of a list's memory
+            hit = self._cache[src_node] = np.array(shortest_paths(self.net, src_node, self.net.length)[0])
+        return hit
 
     def directed(self, e1: int, r1: float, e2: int, r2: float) -> float:
         """Directed travel distance (may be inf when unreachable) — the
-        HMM transition feature of FMM-style matchers."""
-        return self._directed(e1, r1, e2, r2)
+        HMM transition feature of FMM-style matchers. Behind ``r1`` on the
+        same segment, the path loops back to the segment's own entrance."""
+        net = self.net
+        if e1 == e2 and r2 >= r1:
+            return (r2 - r1) * float(net.length[e1])
+        d = self._sssp(int(net.seg_v[e1]))[int(net.seg_u[e2])]
+        return (1 - r1) * float(net.length[e1]) + d + r2 * float(net.length[e2])
 
     def dist(self, e1: int, r1: float, e2: int, r2: float) -> float:
         """Symmetric network distance (min of both travel directions),
         additionally bounded below by straight-line distance for safety."""
-        d = min(self._directed(e1, r1, e2, r2), self._directed(e2, r2, e1, r1))
+        d = min(self.directed(e1, r1, e2, r2), self.directed(e2, r2, e1, r1))
         if not np.isfinite(d):
             x1, y1 = self.net.point_at(e1, r1)
             x2, y2 = self.net.point_at(e2, r2)

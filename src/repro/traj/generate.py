@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.roadnet.graph import RoadNetwork
+from repro.roadnet.routing import shortest_paths
 from repro.traj.ops import locate_on_route, route_cum_lengths
 
 
@@ -57,7 +58,6 @@ class Trajectory:
 
 def _sp_route(
     net: RoadNetwork,
-    adj: list,
     rng: np.random.Generator,
     target_len: float,
     cost_jitter: float = 0.06,
@@ -72,30 +72,18 @@ def _sp_route(
     matched segments can recover the driven route (Alg. 1 line 12). The
     Dijkstra tree guarantees a simple path (Definition 3).
     """
-    import heapq
-
     src = int(rng.integers(net.n_nodes))
     factor = np.exp(rng.normal(0, cost_jitter, net.n_segments))
-    cost = net.length * factor
-    n = net.n_nodes
-    dist = np.full(n, np.inf)
-    true_len = np.zeros(n)
-    prev_seg = np.full(n, -1, dtype=np.int64)
-    prev_node = np.full(n, -1, dtype=np.int64)
-    dist[src] = 0.0
-    pq = [(0.0, src)]
-    while pq:
-        d, u = heapq.heappop(pq)
-        if d > dist[u]:
-            continue
-        for v, s, w in adj[u]:
-            ndist = d + cost[s]
-            if ndist < dist[v]:
-                dist[v] = ndist
-                true_len[v] = true_len[u] + w
-                prev_seg[v] = s
-                prev_node[v] = u
-                heapq.heappush(pq, (ndist, v))
+    dist, prev_seg = shortest_paths(net, src, net.length * factor)
+    # true (unjittered) length along the tree; costs are positive, so in
+    # order of dist every node's parent comes before it
+    seg_u, length = net.seg_u.tolist(), net.length.tolist()
+    true_len = [0.0] * net.n_nodes
+    for v in np.argsort(dist).tolist():
+        s = prev_seg[v]
+        if s >= 0:
+            true_len[v] = true_len[seg_u[s]] + length[s]
+    true_len = np.array(true_len)
     reach = np.isfinite(dist)
     ok = np.where((true_len >= 0.75 * target_len) & (true_len <= 1.25 * target_len) & reach)[0]
     if len(ok) == 0:
@@ -111,8 +99,8 @@ def _sp_route(
     route = []
     node = dst
     while prev_seg[node] >= 0:
-        route.append(int(prev_seg[node]))
-        node = int(prev_node[node])
+        route.append(prev_seg[node])
+        node = seg_u[prev_seg[node]]
     return np.array(route[::-1], dtype=np.int64)
 
 
@@ -147,15 +135,12 @@ def simulate_trajectory(
     gamma: float,
     outlier_p: float = 0.05,
     min_points: int = 6,
-    adj: list | None = None,
     kin: CityKinematics | None = None,
 ) -> Trajectory | None:
     """Simulate one trajectory; ``None`` if the route came out too short."""
-    if adj is None:
-        adj = net.node_adjacency()
     if kin is None:
         kin = CityKinematics.for_net(net, seed=0)
-    route = _sp_route(net, adj, rng, target_len * float(rng.uniform(0.8, 1.2)))
+    route = _sp_route(net, rng, target_len * float(rng.uniform(0.8, 1.2)))
     if len(route) < 4:
         return None
     cum = route_cum_lengths(net, route)
@@ -236,7 +221,6 @@ def simulate_city_trajectories(
 ) -> list[Trajectory]:
     """Simulate ``n_traj`` trajectories (rejection-samples short walks)."""
     rng = np.random.default_rng(seed)
-    adj = net.node_adjacency()
     # kinematics are keyed to the *network* (kin_seed), not the trajectory
     # seed, so train/test draws share the same persistent city structure
     kin = CityKinematics.for_net(net, seed=kin_seed)
@@ -245,8 +229,7 @@ def simulate_city_trajectories(
     while len(out) < n_traj and attempts < n_traj * 20:
         attempts += 1
         tr = simulate_trajectory(
-            net, len(out), rng, eps, target_len, speed_mu, noise_sigma, gamma, outlier_p,
-            adj=adj, kin=kin,
+            net, len(out), rng, eps, target_len, speed_mu, noise_sigma, gamma, outlier_p, kin=kin,
         )
         if tr is not None:
             out.append(tr)

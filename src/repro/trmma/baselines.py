@@ -121,6 +121,13 @@ class _LearnedRecoverer:
         # of the trained weights
         return [p for attr in self._parts if hasattr(self, attr) for p in getattr(self, attr).parameters()]
 
+    def _obs_X(self, xs, ys, ts, t0, n_ticks):
+        """Per observed point: MMA's point features plus the trip-time
+        fraction."""
+        pf = point_features(np.asarray(xs), np.asarray(ys), np.asarray(ts), t0, self.norm)
+        tau = (np.asarray(ts) / max((n_ticks - 1) * self.eps, 1e-9))[:, None]
+        return np.concatenate([pf, tau], axis=1)
+
     def fit(self, city: CityData, epochs: int = 4, lr: float = 2e-3, batch: int = 4, seed: int = 0,
             verbose: bool = False):
         data = []
@@ -214,11 +221,6 @@ class _Seq2SegRecoverer(_LearnedRecoverer):
         return states, states.mean(axis=0)
 
     # -- shared machinery --------------------------------------------------
-    def _obs_X(self, xs, ys, ts, t0, n_ticks):
-        pf = point_features(np.asarray(xs), np.asarray(ys), np.asarray(ts), t0, self.norm)
-        tau = (np.asarray(ts) / max((n_ticks - 1) * self.eps, 1e-9))[:, None]
-        return np.concatenate([pf, tau], axis=1)
-
     def _ctx(self, enc_states: Tensor, h: Tensor) -> Tensor:
         if not self.use_step_attention or enc_states.shape[0] == 1:
             return enc_states.mean(axis=0)
@@ -497,9 +499,7 @@ class DHTRRecoverer(_FreeSpaceRecoverer):
         self.head = MLP([self.d + 1, self.d, 2], rng)
 
     def _coords(self, xs, ys, ts, t0, idxs, n_ticks) -> Tensor:
-        X = point_features(np.asarray(xs), np.asarray(ys), np.asarray(ts), t0, self.norm)
-        tau_obs = (np.asarray(ts) / max((n_ticks - 1) * self.eps, 1e-9))[:, None]
-        states = self.enc(self.inp(Tensor(np.concatenate([X, tau_obs], axis=1))))  # (ℓ, d)
+        states = self.enc(self.inp(Tensor(self._obs_X(xs, ys, ts, t0, n_ticks))))  # (ℓ, d)
         base_x = np.interp(np.arange(n_ticks), idxs.astype(float), np.asarray(xs))
         base_y = np.interp(np.arange(n_ticks), idxs.astype(float), np.asarray(ys))
         pooled = states.mean(axis=0)
@@ -527,9 +527,7 @@ class TERIRecoverer(_FreeSpaceRecoverer):
     def _coords(self, xs, ys, ts, t0, idxs, n_ticks) -> Tensor:
         xs = np.asarray(xs)
         ys = np.asarray(ys)
-        X = point_features(xs, ys, np.asarray(ts), t0, self.norm)
-        tau_obs = (np.asarray(ts) / max((n_ticks - 1) * self.eps, 1e-9))[:, None]
-        states = self.enc(self.inp(Tensor(np.concatenate([X, tau_obs], axis=1))))
+        states = self.enc(self.inp(Tensor(self._obs_X(xs, ys, ts, t0, n_ticks))))
         # time-difference attention: each tick attends to observed points
         # with weights softmax(-|Δt|/ε̄)
         dt = np.abs(np.arange(n_ticks)[:, None] - idxs[None, :].astype(float))

@@ -4,7 +4,8 @@ Training samples use ground-truth matched points and routes (the paper
 trains on map-matched historical data); inference samples use the matched
 points and stitched route produced by MMA (Alg. 2 line 1).
 
-Observed-point features: normalised x/y, time-of-day, trip-time fraction,
+Observed-point features: MMA's point features (normalised x/y and
+time-of-day, :func:`repro.mma.features.point_features`), trip-time fraction,
 and the position ratio from projecting the noisy GPS point onto the matched
 segment (Alg. 2 line 4). Route features: normalised segment length and
 cumulative route offset — explicit route geometry (DESIGN.md §2).
@@ -13,20 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mma.features import point_features
 from repro.roadnet.graph import RoadNetwork
 from repro.traj.generate import Trajectory
 from repro.traj.ops import route_cum_lengths
 from repro.trmma.model import TrmmaSample
-
-
-def _tod(ts: np.ndarray, t0: float) -> np.ndarray:
-    return ((ts + t0) % 86400.0) / 86400.0
-
-
-def _xy_norm(xs, ys, norm):
-    xn = (xs - norm["x0"]) / max(norm["x1"] - norm["x0"], 1e-9)
-    yn = (ys - norm["y0"]) / max(norm["y1"] - norm["y0"], 1e-9)
-    return xn, yn
 
 
 def route_geometry(net: RoadNetwork, route: np.ndarray) -> np.ndarray:
@@ -62,12 +54,11 @@ def build_train_sample(
     obs = np.where(tr.observed)[0]
     if len(obs) < 2 or len(tr.route) < 2:
         return None
-    xn, yn = _xy_norm(tr.x[obs], tr.y[obs], norm)
     proj_r = np.array([net.project(float(tr.x[i]), float(tr.y[i]), int(tr.seg[i]))[0] for i in obs])
     duration = max(float(tr.t[-1]), 1e-9)
     return TrmmaSample(
-        obs_feats=np.stack(
-            [xn, yn, _tod(tr.t[obs], tr.t0), tr.t[obs] / duration, proj_r], axis=1
+        obs_feats=np.column_stack(
+            [point_features(tr.x[obs], tr.y[obs], tr.t[obs], tr.t0, norm), tr.t[obs] / duration, proj_r]
         ),
         obs_seg=tr.seg[obs],
         obs_pos=tr.route_pos[obs],
@@ -125,13 +116,10 @@ def build_infer_sample(
     time_per_meter: np.ndarray | None = None,
 ) -> TrmmaSample:
     """Inference sample over an MMA-matched sparse trajectory."""
-    xn, yn = _xy_norm(xs, ys, norm)
     duration = max(float((n_ticks - 1) * eps), 1e-9)
     route = np.asarray(route, dtype=np.int64)
     return TrmmaSample(
-        obs_feats=np.stack(
-            [xn, yn, _tod(ts, t0), ts / duration, matched_ratio], axis=1
-        ),
+        obs_feats=np.column_stack([point_features(xs, ys, ts, t0, norm), ts / duration, matched_ratio]),
         obs_seg=matched_seg.astype(np.int64),
         obs_pos=positions_in_route(route, matched_seg),
         obs_tick=idxs.astype(np.int64),

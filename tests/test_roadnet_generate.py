@@ -43,12 +43,11 @@ def test_lane_offset_separates_twins(net_small):
 def test_strong_connectivity(net_small):
     """Every node reaches every other node (largest SCC was kept)."""
     net = net_small
-    adj = net.node_adjacency()
     seen = {0}
     stack = [0]
     while stack:
         u = stack.pop()
-        for v, _s, _w in adj[u]:
+        for _s, v in net.adjacency[u]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)

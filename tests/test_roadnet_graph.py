@@ -96,10 +96,8 @@ def test_bbox_covers_segments():
 
 def test_node_adjacency_roundtrip():
     net = _line_net()
-    adj = net.node_adjacency()
-    assert adj[0] == [(1, 0, 100.0)]
-    assert adj[1] == [(2, 1, 100.0)]
-    assert adj[2] == []
+    assert net.adjacency == [[(0, 1)], [(1, 2)], []]
+    assert net.adjacency is net.adjacency  # computed once
 
 
 def test_counts(net_small):

@@ -1,7 +1,11 @@
 """Tests for route planning, stitching, historical costs and network
 distances."""
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.routing import (
@@ -26,31 +30,45 @@ def test_plan_route_same_src_dst(net_small):
     assert plan_route(net_small, 7, 7) == [7]
 
 
-def test_plan_route_respects_expansion_budget(net_small):
-    assert plan_route(net_small, 0, net_small.n_segments - 1, max_expansions=1) is None
-
-
-def test_plan_route_minimises_length(net_small):
-    """Cost of the planned route ≤ cost of any single-hop detour variant."""
-    src, dst = 3, 60
-    route = plan_route(net_small, src, dst)
-    cost = net_small.length[route[1:]].sum()
-    # brute-force Dijkstra over segments for reference
-    import heapq
-
+def _segment_dijkstra(net, src, costs):
+    """Reference: Dijkstra over segments, the cost of a path being the
+    costs of the segments after ``src``."""
     dist = {src: 0.0}
     pq = [(0.0, src)]
     while pq:
         d, s = heapq.heappop(pq)
         if d > dist.get(s, np.inf):
             continue
-        for nxt in net_small.successors(s):
+        for nxt in net.successors(s):
             nxt = int(nxt)
-            nd = d + float(net_small.length[nxt])
+            nd = d + float(costs[nxt])
             if nd < dist.get(nxt, np.inf):
                 dist[nxt] = nd
                 heapq.heappush(pq, (nd, nxt))
-    assert cost == pytest.approx(dist[dst])
+    return dist
+
+
+def test_plan_route_minimises_length(net_small):
+    """Cost of the planned route equals the segment-level optimum."""
+    src, dst = 3, 60
+    route = plan_route(net_small, src, dst)
+    cost = net_small.length[route[1:]].sum()
+    assert cost == pytest.approx(_segment_dijkstra(net_small, src, net_small.length)[dst])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_plan_route_optimal_under_random_costs(net_small, data, seed):
+    """Under any positive costs the planned route is a connected path
+    ``src → dst`` whose cost equals the segment-level reference."""
+    seg = st.integers(0, net_small.n_segments - 1)
+    src, dst = data.draw(seg), data.draw(seg)
+    costs = np.random.default_rng(seed).uniform(1.0, 500.0, net_small.n_segments)
+    route = plan_route(net_small, src, dst, costs)
+    assert route[0] == src and route[-1] == dst
+    for a, b in zip(route, route[1:]):
+        assert net_small.seg_v[a] == net_small.seg_u[b]
+    assert costs[route[1:]].sum() == pytest.approx(_segment_dijkstra(net_small, src, costs)[dst])
 
 
 def test_stitch_route_contains_anchors(net_small):
@@ -138,3 +156,11 @@ def test_network_distance_cache_tells_apart_equal_sized_networks():
     assert network_distance_for(closed).directed(0, 0.5, 2, 0.5) == pytest.approx(241.42, abs=0.01)
     assert network_distance_for(open_).directed(0, 0.5, 2, 0.5) == np.inf
     assert network_distance_for(_triangle(0, 2)) is network_distance_for(open_)
+
+
+def test_unreachable_hop_falls_back_to_concatenation():
+    """In the open triangle nothing leaves node 2, so segment 0 cannot be
+    reached from segment 2: no route, and stitching concatenates."""
+    net = _triangle(0, 2)
+    assert plan_route(net, 2, 0) is None
+    assert stitch_route(net, [2, 0]) == [2, 0]
