@@ -5,10 +5,11 @@ classifies each missing point over the ℓ_R segments of the matched route,
 an all-segment decoder (RNTrajRec-lite) over all n segments of the network.
 
 Both wall-clock times are recorded. The *assertion* is on the structural
-ratio (per-tick classification work n / ℓ_R ≫ 1), not wall-clock: at this
-reproduction's numpy-lite scale, Python per-op overhead dominates both
-decoders and hides the FLOP gap that produces the paper's 20-75× GPU-scale
-speedups — see EXPERIMENTS.md deviation 5.
+ratio (per-tick classification work n / ℓ_R ≫ 1), not wall-clock: both
+decoders run forward-only numpy, and at n ≈ 1,000 per-op overhead, not the
+n-sized scoring, sets most of a tick's cost, which hides most of the FLOP
+gap behind the paper's 20-75× GPU-scale speedups — see EXPERIMENTS.md
+deviation 5.
 """
 import time
 

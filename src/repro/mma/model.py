@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mma.features import MMASample, N_CAND_FEATS
-from repro.nn.autodiff import Tensor, concat
+from repro.nn.autodiff import Tensor, concat, softmax
 from repro.nn.layers import Embedding, Linear, MLP, Module
 from repro.nn.transformer import TransformerEncoder
 
@@ -87,8 +87,25 @@ class MMAModel(Module):
         m = s.mask.astype(np.float64)
         return (bce * Tensor(m)).sum() * (1.0 / max(1.0, m.sum()))
 
+    def forward_np(self, s: MMASample) -> np.ndarray:
+        """:meth:`forward`'s logits, forward only (bit-identical)."""
+        ell, kc = s.cand.shape
+        z2 = self.trans.forward_np(self.point_fc.forward_np(s.X))
+        zc = np.concatenate(
+            [self.seg_emb.forward_np(s.cand.reshape(-1)), s.feats.reshape(ell * kc, N_CAND_FEATS)], axis=-1
+        )
+        c = self.cand_mlp.forward_np(zc).reshape(ell, kc, self.d2)
+        masked_out = np.where(s.mask, 0.0, -1e9)
+        if self.use_context:
+            z2e = z2.reshape(ell, 1, self.d2) + np.zeros((1, kc, 1))
+            scores = self.attn_mlp.forward_np(np.concatenate([z2e, c], axis=-1)).reshape(ell, kc)
+            alpha = softmax(scores + masked_out, axis=-1)
+            p = z2 + (alpha.reshape(ell, kc, 1) * c).sum(axis=1)
+        else:
+            p = z2
+        return (c * p.reshape(ell, 1, self.d2)).sum(axis=-1) + masked_out
+
     def predict(self, s: MMASample) -> np.ndarray:
         """Matched segment id per point: argmax_{c ∈ C} P(c|p) (Alg.1 l.9)."""
-        logits = self.forward(s).data
-        pick = logits.argmax(axis=1)
+        pick = self.forward_np(s).argmax(axis=1)
         return s.cand[np.arange(len(pick)), pick]

@@ -12,6 +12,10 @@ Only the ops the reproduction's models need are implemented — matmul,
 elementwise arithmetic, relu/sigmoid/tanh/exp/log/sqrt/pow, reductions,
 reshape/transpose/slicing, concat/stack, and composite softmax /
 log-softmax. All math is float64.
+
+``relu``, ``sigmoid`` and ``softmax`` are the same ops on plain arrays, in
+the same order, for the layers' forward-only ``forward_np`` (inference
+builds no graph; its results equal the graph's bit for bit).
 """
 from __future__ import annotations
 
@@ -37,6 +41,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if s == 1 and g != 1:
             grad = grad.sum(axis=ax, keepdims=True)
     return grad.reshape(shape)
+
+
+def relu(x: np.ndarray) -> np.ndarray:
+    return x * (x > 0)
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
+
+
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """:meth:`Tensor.softmax` on an array: shift, clipped exp, then the
+    division as a product with the sum's reciprocal."""
+    e = np.exp(np.clip(x - x.max(axis=axis, keepdims=True), -700, 700))
+    return e * np.power(e.sum(axis=axis, keepdims=True), -1.0)
 
 
 class Tensor:
@@ -165,7 +184,7 @@ class Tensor:
         return self._make(self.data * mask, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        s = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60, 60)))
+        s = sigmoid(self.data)
 
         def backward(g):
             return (g * s * (1 - s),)

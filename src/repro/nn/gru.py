@@ -1,7 +1,8 @@
 """GRU (Cho et al. 2014), the sequential decoder backbone of TRMMA (§V) and
 of the MTrajRec-style baselines.
 
-``GRUCell.forward`` advances one step; :class:`GRU` unrolls a full input
+``GRUCell.forward`` advances one step (``forward_np``: the same step on
+plain arrays, for inference); :class:`GRU` unrolls a full input
 sequence and returns all hidden states. Sequences here are short (tens of
 steps), so the Python-level unroll is cheap and keeps the autodiff graph
 simple.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autodiff import Tensor, concat, stack
+from repro.nn.autodiff import Tensor, concat, sigmoid, stack
 from repro.nn.layers import Linear, Module
 
 
@@ -28,6 +29,13 @@ class GRUCell(Module):
         z = self.Wz(xh).sigmoid()
         r = self.Wr(xh).sigmoid()
         hhat = self.Wh(concat([x, r * h], axis=-1)).tanh()
+        return (1.0 - z) * h + z * hhat
+
+    def forward_np(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+        xh = np.concatenate([x, h], axis=-1)
+        z = sigmoid(self.Wz.forward_np(xh))
+        r = sigmoid(self.Wr.forward_np(xh))
+        hhat = np.tanh(self.Wh.forward_np(np.concatenate([x, r * h], axis=-1)))
         return (1.0 - z) * h + z * hhat
 
     def init_state(self) -> Tensor:

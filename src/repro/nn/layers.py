@@ -4,12 +4,18 @@
 Spark broadcast path (``state_dict``/``load_state_dict``) can treat every
 model uniformly. Parameter init follows the usual Glorot-uniform scheme with
 a per-module ``np.random.Generator`` for determinism.
+
+Each layer has two forward passes over the same weights: ``forward`` builds
+the autodiff graph and is used for training only; ``forward_np`` is plain
+numpy for inference. ``forward_np`` repeats ``forward``'s ops in the same
+order (a mean is a sum times ``1/n``, a division a product with the
+reciprocal), so both give bit-identical outputs.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autodiff import Tensor
+from repro.nn.autodiff import Tensor, relu
 
 
 class Module:
@@ -69,6 +75,10 @@ class Linear(Module):
         y = x @ self.W
         return y + self.b if self.b is not None else y
 
+    def forward_np(self, x: np.ndarray) -> np.ndarray:
+        y = x @ self.W.data
+        return y + self.b.data if self.b is not None else y
+
 
 class MLP(Module):
     """Feed-forward stack with ReLU between layers (none after the last)."""
@@ -83,6 +93,13 @@ class MLP(Module):
             x = layer(x)
             if i < len(self.layers) - 1:
                 x = x.relu()
+        return x
+
+    def forward_np(self, x: np.ndarray) -> np.ndarray:
+        for i, layer in enumerate(self.layers):
+            x = layer.forward_np(x)
+            if i < len(self.layers) - 1:
+                x = relu(x)
         return x
 
 
@@ -101,6 +118,12 @@ class LayerNorm(Module):
         xhat = centered * (var + self.eps).pow(-0.5)
         return xhat * self.gamma + self.beta
 
+    def forward_np(self, x: np.ndarray) -> np.ndarray:
+        inv_n = 1.0 / x.shape[-1]
+        centered = x - x.sum(axis=-1, keepdims=True) * inv_n
+        var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+        return centered * np.power(var + self.eps, -0.5) * self.gamma.data + self.beta.data
+
 
 class Embedding(Module):
     """Id → dense vector lookup table, optionally initialised from
@@ -118,3 +141,6 @@ class Embedding(Module):
 
     def forward(self, ids) -> Tensor:
         return self.W[np.asarray(ids, dtype=np.int64)]
+
+    def forward_np(self, ids) -> np.ndarray:
+        return self.W.data[np.asarray(ids, dtype=np.int64)]

@@ -4,13 +4,14 @@ Operates on a single sequence ``X ∈ R^{ℓ × d}`` (the paper's trajectories
 and routes are short, so we process one sequence at a time rather than
 padded batches). Includes sinusoidal positional encoding, multi-head
 self-attention, position-wise FFN, residual connections and LayerNorm —
-the exact composition of Eq. (6).
+the exact composition of Eq. (6). ``forward_np`` is the same computation
+on plain arrays, for inference (see :mod:`repro.nn.layers`).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autodiff import Tensor
+from repro.nn.autodiff import Tensor, relu, softmax
 from repro.nn.layers import LayerNorm, Linear, Module
 
 
@@ -50,6 +51,15 @@ class MultiHeadAttention(Module):
         out = (attn @ V).transpose(1, 0, 2).reshape(lq, self.d)
         return self.Wo(out)
 
+    def forward_np(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        lq, lk = q.shape[0], k.shape[0]
+        Q = self.Wq.forward_np(q).reshape(lq, self.h, self.dk).transpose(1, 0, 2)
+        K = self.Wk.forward_np(k).reshape(lk, self.h, self.dk).transpose(1, 0, 2)
+        V = self.Wv.forward_np(v).reshape(lk, self.h, self.dk).transpose(1, 0, 2)
+        attn = softmax((Q @ K.transpose(0, 2, 1)) * (1.0 / np.sqrt(self.dk)), axis=-1)
+        out = (attn @ V).transpose(1, 0, 2).reshape(lq, self.d)
+        return self.Wo.forward_np(out)
+
 
 class TransformerLayer(Module):
     """One encoder layer: MHA + FFN with residual + LayerNorm (Eq. (6))."""
@@ -64,6 +74,10 @@ class TransformerLayer(Module):
     def forward(self, x: Tensor) -> Tensor:
         x = self.ln1(x + self.attn(x, x, x))
         return self.ln2(x + self.ffn2(self.ffn1(x).relu()))
+
+    def forward_np(self, x: np.ndarray) -> np.ndarray:
+        x = self.ln1.forward_np(x + self.attn.forward_np(x, x, x))
+        return self.ln2.forward_np(x + self.ffn2.forward_np(relu(self.ffn1.forward_np(x))))
 
 
 class TransformerEncoder(Module):
@@ -90,4 +104,11 @@ class TransformerEncoder(Module):
             x = x + Tensor(positional_encoding(x.shape[0], self.d))
         for layer in self.layers:
             x = layer(x)
+        return x
+
+    def forward_np(self, x: np.ndarray) -> np.ndarray:
+        if self.use_pos:
+            x = x + positional_encoding(x.shape[0], self.d)
+        for layer in self.layers:
+            x = layer.forward_np(x)
         return x

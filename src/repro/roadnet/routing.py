@@ -24,16 +24,20 @@ import numpy as np
 from repro.roadnet.graph import RoadNetwork
 
 
-def shortest_paths(net: RoadNetwork, src_node: int, cost: np.ndarray, target: int = -1) -> tuple[list, list]:
+def shortest_paths(
+    net: RoadNetwork, src_node: int, cost: np.ndarray | list[float], target: int = -1
+) -> tuple[list, list]:
     """Dijkstra over intersection nodes from ``src_node``; entering segment
-    ``s`` costs ``cost[s]`` (positive).
+    ``s`` costs ``cost[s]`` (positive). ``cost`` is an array or, to skip
+    the conversion when one caller searches many times, a list.
 
     Returns ``(dist, prev_seg)``, lists indexed by node: the cheapest cost
     (``inf`` when unreachable) and the segment the cheapest path enters the
     node by (``-1`` at the source and where unreachable). With ``target`` the
     search stops once that node is settled; only its entries are then final.
     """
-    c = cost.tolist()  # per-edge numpy indexing is several times slower
+    # per-edge numpy indexing is several times slower than a list's
+    c = cost.tolist() if isinstance(cost, np.ndarray) else cost
     adj = net.adjacency
     dist = [float("inf")] * net.n_nodes
     prev = [-1] * net.n_nodes
@@ -71,10 +75,13 @@ class HistoricalCosts:
         self.cost = net.length / (1.0 + w * np.log1p(counts))
 
 
-def plan_route(net: RoadNetwork, src: int, dst: int, costs: np.ndarray | None = None) -> list[int] | None:
+def plan_route(
+    net: RoadNetwork, src: int, dst: int, costs: np.ndarray | list[float] | None = None
+) -> list[int] | None:
     """Cheapest segment path ``src → dst`` (both inclusive).
 
-    Searches from ``src``'s exit node to ``dst``'s entrance node. Returns
+    Searches from ``src``'s exit node to ``dst``'s entrance node under
+    ``costs`` (array or list; ``None`` means segment length). Returns
     ``None`` when unreachable (the paper notes this is rare, ~0.06%; callers
     fall back to a straight concatenation).
     """
@@ -99,6 +106,7 @@ def stitch_route(net: RoadNetwork, segs: list[int], costs: np.ndarray | None = N
     Consecutive duplicates collapse; unreachable hops degrade to simple
     concatenation, matching the paper's fallback discussion.
     """
+    costs = (net.length if costs is None else costs).tolist()  # once, not per hop
     route: list[int] = []
     for s in segs:
         s = int(s)

@@ -30,7 +30,7 @@ import numpy as np
 from repro.mma.baselines import distance_penalty, heading_cos as _heading_cos, segment_feature_matrix
 from repro.mma.features import point_features
 from repro.mma.infer import match_and_stitch
-from repro.nn.autodiff import Tensor, concat, mean_of
+from repro.nn.autodiff import Tensor, concat, mean_of, sigmoid, softmax
 from repro.nn.gru import BiGRU, GRU, GRUCell
 from repro.nn.layers import Linear, MLP, Module
 from repro.nn.optim import fit
@@ -187,6 +187,17 @@ class _FullVocabDecoder(Module):
         inp = concat([e_prev, Tensor(np.array([r_prev, tau]))], axis=-1)
         return self.gru(inp, h)
 
+    # forward-only forms of the three above, for inference
+    def step_np(self, E: np.ndarray, b: np.ndarray, h: np.ndarray, ctx: np.ndarray, penalty: np.ndarray):
+        hc = np.concatenate([h, ctx], axis=-1)
+        return (E @ self.q.forward_np(hc)) * self.gain.data + b + penalty, hc
+
+    def ratio_np(self, hc: np.ndarray, e_k: np.ndarray) -> np.ndarray:
+        return sigmoid(self.reg.forward_np(np.concatenate([self.q.forward_np(hc), e_k], axis=-1)))
+
+    def advance_np(self, h: np.ndarray, e_prev: np.ndarray, r_prev: float, tau: float) -> np.ndarray:
+        return self.gru.forward_np(np.concatenate([e_prev, np.array([r_prev, tau])], axis=-1), h)
+
 
 class _Seq2SegRecoverer(_LearnedRecoverer):
     """Shared skeleton of the all-segment seq2seq recovery baselines.
@@ -227,16 +238,20 @@ class _Seq2SegRecoverer(_LearnedRecoverer):
         a = (enc_states @ h).softmax(axis=-1)
         return a @ enc_states
 
+    def _ctx_np(self, enc_states: np.ndarray, h: np.ndarray) -> np.ndarray:
+        if not self.use_step_attention or enc_states.shape[0] == 1:
+            return enc_states.sum(axis=0) * (1.0 / enc_states.shape[0])
+        return softmax(enc_states @ h, axis=-1) @ enc_states
+
     def _rollout(self, xs, ys, ts, t0, idxs, n_ticks, teacher=None, lam: float = 2.0):
         """Run the decoder over all ticks.
 
         With ``teacher=(gt_seg, gt_ratio)`` returns the training loss
-        tensor; otherwise returns predicted ``(segs, ratios)``.
+        tensor; otherwise returns predicted ``(segs, ratios)``, decoded
+        forward only on plain arrays (the encoder still builds its graph).
         """
         X = self._obs_X(xs, ys, ts, t0, n_ticks)
         enc_states, h = self._encode(X, xs, ys)
-        E = self.dec.proj(Tensor(self.seg_feats))  # (n, d)
-        b = self.dec.bias(Tensor(self.seg_feats)).reshape(len(self.seg_feats))
         taus = (np.arange(n_ticks) * self.eps) / max((n_ticks - 1) * self.eps, 1e-9)
         # MTrajRec-style constraint region around the time-interpolated
         # position of each tick (soft penalty; see _FullVocabDecoder.step),
@@ -246,30 +261,36 @@ class _Seq2SegRecoverer(_LearnedRecoverer):
         by = np.interp(np.arange(n_ticks), np.asarray(idxs, dtype=float), np.asarray(ys))
         pen = distance_penalty(self.net, bx, by, delta=150.0)
         pen = pen + 4.0 * _heading_cos(self.net, bx, by)
+        if teacher is None:
+            return self._decode(enc_states.data, h.data, pen, taus)
+        E = self.dec.proj(Tensor(self.seg_feats))  # (n, d)
+        b = self.dec.bias(Tensor(self.seg_feats)).reshape(len(self.seg_feats))
         losses = []
-        segs = np.zeros(n_ticks, dtype=np.int64)
-        ratios = np.zeros(n_ticks)
         for tick in range(n_ticks):
             ctx = self._ctx(enc_states, h)
             logits, hc = self.dec.step(E, b, h, ctx, pen[tick])
-            if teacher is not None:
-                gt_k = int(teacher[0][tick])
-                lp = logits.log_softmax(axis=-1)
-                ce = -lp[gt_k]
-                rhat = self.dec.ratio(hc, E[gt_k])
-                diff = rhat - Tensor(np.array([teacher[1][tick]]))
-                mae = (diff.relu() + (-diff).relu()).reshape(())
-                losses.append(ce + mae * lam)
-                k = gt_k
-                r = float(teacher[1][tick])
-            else:
-                k = int(np.argmax(logits.data))
-                r = float(self.dec.ratio(hc, E[k]).data[0])
-                segs[tick] = k
-                ratios[tick] = r
+            k = int(teacher[0][tick])
+            r = float(teacher[1][tick])
+            ce = -logits.log_softmax(axis=-1)[k]
+            diff = self.dec.ratio(hc, E[k]) - Tensor(np.array([r]))
+            mae = (diff.relu() + (-diff).relu()).reshape(())
+            losses.append(ce + mae * lam)
             h = self.dec.advance(h, E[k], r, float(taus[tick]))
-        if teacher is not None:
-            return mean_of(losses)
+        return mean_of(losses)
+
+    def _decode(self, enc_states: np.ndarray, h: np.ndarray, pen: np.ndarray, taus: np.ndarray):
+        """Greedy decode of every tick, forward only."""
+        E = self.dec.proj.forward_np(self.seg_feats)  # (n, d)
+        b = self.dec.bias.forward_np(self.seg_feats).reshape(len(self.seg_feats))
+        segs = np.zeros(len(taus), dtype=np.int64)
+        ratios = np.zeros(len(taus))
+        for tick in range(len(taus)):
+            logits, hc = self.dec.step_np(E, b, h, self._ctx_np(enc_states, h), pen[tick])
+            k = int(np.argmax(logits))
+            r = float(self.dec.ratio_np(hc, E[k])[0])
+            segs[tick] = k
+            ratios[tick] = r
+            h = self.dec.advance_np(h, E[k], r, float(taus[tick]))
         return segs, ratios
 
     # -- public API --------------------------------------------------------

@@ -16,7 +16,9 @@ regression head of Eq. 18. Observed points also advance the GRU state (with
 their matched segment/ratio) so the state tracks progress along the route.
 
 Training (Eqs. 19-21) teacher-forces the GRU and combines per-tick BCE over
-route segments with λ-weighted MAE on ratios.
+route segments with λ-weighted MAE on ratios, through the autodiff graph.
+Inference (``encode``, ``recover``) runs the same ops forward only on plain
+arrays, so it builds no graph and gives bit-identical outputs.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.autodiff import Tensor, concat, mean_of
+from repro.nn.autodiff import Tensor, concat, mean_of, softmax
 from repro.nn.gru import GRUCell
 from repro.nn.layers import Embedding, Linear, MLP, Module
 from repro.nn.transformer import TransformerEncoder
@@ -91,8 +93,9 @@ class TRMMAModel(Module):
         self.reg = MLP([2 * d_h + 4, d_h, 1], rng)  # Eq.(18) W10/W11 (+ scalars)
 
     # -- encoding ---------------------------------------------------------
-    def encode(self, s: TrmmaSample) -> Tensor:
-        """DualFormer encoding H (Eqs. 11-14)."""
+    def _encode_graph(self, s: TrmmaSample) -> Tensor:
+        """DualFormer encoding H (Eqs. 11-14) as an autodiff graph, for
+        training."""
         t0 = concat([Tensor(s.obs_feats), self.emb_t(s.obs_seg)], axis=-1)
         T = self.trans_t(self.fc_t(t0))  # (ℓ, d_h)
         r1 = concat([Tensor(s.route_feats), self.emb_r(s.route)], axis=-1)
@@ -101,6 +104,17 @@ class TRMMAModel(Module):
             return R
         B = (R @ T.transpose()).softmax(axis=-1)  # Eq.(13), rows = segments
         return R + B @ T  # Eq.(14)
+
+    def encode(self, s: TrmmaSample) -> np.ndarray:
+        """DualFormer encoding H (Eqs. 11-14), forward only; equals
+        ``_encode_graph(s).data`` bit for bit."""
+        t0 = np.concatenate([s.obs_feats, self.emb_t.forward_np(s.obs_seg)], axis=-1)
+        T = self.trans_t.forward_np(self.fc_t.forward_np(t0))
+        r1 = np.concatenate([s.route_feats, self.emb_r.forward_np(s.route)], axis=-1)
+        R = self.trans_r.forward_np(self.fc_r.forward_np(r1))
+        if not self.use_dualformer:
+            return R
+        return R + softmax(R @ T.transpose(), axis=-1) @ T
 
     # -- decoding ---------------------------------------------------------
     @staticmethod
@@ -119,19 +133,14 @@ class TRMMAModel(Module):
         start = s.route_feats[:, 1]
         tw = np.maximum(s.route_timew, 1e-9)
         cum_t = np.concatenate([[0.0], np.cumsum(tw)])
-
-        def off2t(off):
-            k = int(np.clip(np.searchsorted(start, off, side="right") - 1, 0, len(ln) - 1))
-            return cum_t[k] + np.clip((off - start[k]) / ln[k], 0, 1) * tw[k]
-
-        def t2off(tv):
-            k = int(np.clip(np.searchsorted(cum_t, tv, side="right") - 1, 0, len(ln) - 1))
-            return start[k] + np.clip((tv - cum_t[k]) / tw[k], 0, 1) * ln[k]
-
         off_obs = start[s.obs_pos] + s.obs_feats[:, 4] * ln[s.obs_pos]
-        t_obs = np.array([off2t(o) for o in off_obs])
+        # route offset → time: the segment holding each offset, then its share
+        k = np.clip(np.searchsorted(start, off_obs, side="right") - 1, 0, len(ln) - 1)
+        t_obs = cum_t[k] + np.clip((off_obs - start[k]) / ln[k], 0, 1) * tw[k]
         t_ticks = np.interp(np.arange(s.n_ticks), s.obs_tick.astype(float), t_obs)
-        return np.array([t2off(tv) for tv in t_ticks])
+        # and back: time → route offset
+        k = np.clip(np.searchsorted(cum_t, t_ticks, side="right") - 1, 0, len(ln) - 1)
+        return start[k] + np.clip((t_ticks - cum_t[k]) / tw[k], 0, 1) * ln[k]
 
     @staticmethod
     def _decode_feats(s: TrmmaSample, tau: float, exp_off: float) -> np.ndarray:
@@ -184,7 +193,7 @@ class TRMMAModel(Module):
         Returns ``(loss_tensor, n_missing_ticks)``; callers weight by tick
         count when batching trajectories.
         """
-        H = self.encode(s)
+        H = self._encode_graph(s)
         h = H.mean(axis=0)  # Alg.2 line 6
         obs_by_tick = {int(t): i for i, t in enumerate(s.obs_tick)}
         exp_offs = self.expected_offsets(s)
@@ -230,29 +239,42 @@ class TRMMAModel(Module):
 
         Observed ticks carry their matched point (Alg. 2 lines 2-4);
         missing ticks are decoded sequentially under the route-order
-        constraint (Eq. 17).
+        constraint (Eq. 17). Forward only: the same ops as ``loss``'s
+        ``_step_scores`` / ``_step_ratio`` / GRU step on plain arrays.
         """
         H = self.encode(s)
-        h = H.mean(axis=0)
+        lr, d = H.shape
+        h = H.sum(axis=0) * (1.0 / lr)  # Alg.2 line 6 (mean)
         obs_by_tick = {int(t): i for i, t in enumerate(s.obs_tick)}
         exp_offs = self.expected_offsets(s)
         segs = np.zeros(s.n_ticks, dtype=np.int64)
         ratios = np.zeros(s.n_ticks)
         k_prev = 0
         for tick in range(s.n_ticks):
+            tau = float(s.tick_tau[tick])
             oi = obs_by_tick.get(tick)
             if oi is not None:
                 k = int(s.obs_pos[oi])
                 r = float(s.obs_feats[oi, 4])
             else:
-                tau = float(s.tick_tau[tick])
-                w = self._step_scores(H, h, s, tau, float(exp_offs[tick]))
-                wd = w.data.copy()
+                exp_off = float(exp_offs[tick])
+                feats = self._decode_feats(s, tau, exp_off)
+                # Eq.(15)
+                he = h.reshape(1, d) + np.zeros((lr, 1))
+                w = self.cls.forward_np(np.concatenate([H, he, H * he, feats], axis=-1)).reshape(lr)
+                wd = w.copy()
                 wd[:k_prev] = -np.inf  # Eq.(17): not before a_{j-1}.e
                 k = int(np.argmax(wd))
-                r = float(self._step_ratio(H, h, w, s, tau, float(exp_offs[tick]), k).data[0])
+                # Eq.(18)
+                psi = softmax(w, axis=-1).reshape(1, -1)
+                prior = float(np.clip(feats[k, 0], 0.0, 1.0))
+                z = np.concatenate(
+                    [h.reshape(1, d), psi @ H, psi @ feats[:, :2], np.array([[prior, exp_off]])], axis=-1
+                )
+                delta = np.tanh(self.reg.forward_np(z).reshape(1))
+                r = float(np.clip(delta * 0.5 + prior, 0.0, 1.0 - 1e-6)[0])
             segs[tick] = s.route[k]
             ratios[tick] = r
             k_prev = max(k_prev, k)
-            h = self.gru(self._gru_in(H, k, r, float(s.tick_tau[tick])), h)
+            h = self.gru.forward_np(np.concatenate([H[k], np.array([r, tau])], axis=-1), h)
         return segs, ratios

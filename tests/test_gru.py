@@ -79,3 +79,13 @@ def test_gru_deterministic():
     b = GRU(3, 4, np.random.default_rng(6))
     x = RNG.normal(size=(4, 3))
     assert np.allclose(a(Tensor(x)).data, b(Tensor(x)).data)
+
+
+def test_cell_forward_np_matches_autodiff_exactly():
+    cell = GRUCell(4, 6, np.random.default_rng(7))
+    h = np.zeros(6)
+    for _ in range(5):  # a few chained steps, as a decoder runs them
+        x = RNG.normal(size=(4,)) * 3.0
+        h_np = cell.forward_np(x, h)
+        assert np.array_equal(h_np, cell(Tensor(x), Tensor(h)).data)
+        h = h_np

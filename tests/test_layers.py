@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.autodiff import Tensor, numeric_grad
+from repro.nn.autodiff import Tensor, numeric_grad, relu, sigmoid, softmax
 from repro.nn.layers import Embedding, LayerNorm, Linear, MLP, Module, glorot
 from repro.nn.optim import Adam, fit
 
@@ -208,3 +208,24 @@ def test_module_pickle_roundtrip():
     clone = pickle.loads(pickle.dumps(mlp))
     x = RNG.normal(size=(2, 3))
     assert np.allclose(mlp(Tensor(x)).data, clone(Tensor(x)).data)
+
+
+@pytest.mark.parametrize("shape", [(6,), (5, 6), (3, 4, 6)])
+def test_forward_np_matches_autodiff_exactly(shape):
+    """The forward-only pass repeats the graph's ops in order, so the
+    outputs are equal bit for bit, whatever the input's rank."""
+    rng = np.random.default_rng(3)
+    x = RNG.normal(size=shape) * 4.0
+    for layer in (Linear(6, 4, rng), Linear(6, 4, rng, bias=False), MLP([6, 8, 8, 3], rng), LayerNorm(6)):
+        assert np.array_equal(layer.forward_np(x), layer(Tensor(x)).data)
+    emb = Embedding(10, 4, rng)
+    assert np.array_equal(emb.forward_np([3, 3, 9]), emb([3, 3, 9]).data)
+
+
+def test_array_ops_match_tensor_ops_exactly():
+    x = RNG.normal(size=(4, 7)) * 50.0
+    x[0, 0] = 900.0  # past both clips
+    assert np.array_equal(relu(x), Tensor(x).relu().data)
+    assert np.array_equal(sigmoid(x), Tensor(x).sigmoid().data)
+    for axis in (-1, 0):
+        assert np.array_equal(softmax(x, axis=axis), Tensor(x).softmax(axis=axis).data)

@@ -92,3 +92,14 @@ def test_deterministic_in_seed(net_small, sample):
     a = MMAModel(net_small.n_segments, d0=16, d2=16, seed=5)
     b = MMAModel(net_small.n_segments, d0=16, d2=16, seed=5)
     assert np.allclose(a.forward(sample).data, b.forward(sample).data)
+
+
+@pytest.mark.parametrize("use_context", [True, False])
+def test_predict_equals_autodiff_argmax(net_small, index_small, trajs_small, pt_norm, use_context):
+    m = MMAModel(net_small.n_segments, d0=16, d2=16, d1=24, d3=24, seed=1, use_context=use_context)
+    for tr in trajs_small[:4]:
+        o = np.where(tr.observed)[0]
+        s = build_mma_sample(net_small, index_small, tr.x[o], tr.y[o], tr.t[o], tr.t0, pt_norm)
+        logits = m.forward(s).data
+        assert np.array_equal(m.forward_np(s), logits)
+        assert np.array_equal(m.predict(s), s.cand[np.arange(len(o)), logits.argmax(axis=1)])

@@ -164,3 +164,19 @@ def test_unreachable_hop_falls_back_to_concatenation():
     net = _triangle(0, 2)
     assert plan_route(net, 2, 0) is None
     assert stitch_route(net, [2, 0]) == [2, 0]
+
+
+def test_costs_as_list_or_array_plan_the_same(net_small):
+    """``stitch_route`` converts its costs to a list once and plans every
+    hop with it; ``plan_route`` still takes the array."""
+    costs = HistoricalCosts(net_small, [list(range(0, 40, 3))]).cost
+    rng = np.random.default_rng(2)
+    for a, b in rng.integers(0, net_small.n_segments, size=(20, 2)):
+        assert plan_route(net_small, int(a), int(b), costs) == plan_route(net_small, int(a), int(b), costs.tolist())
+    anchors = [int(s) for s in rng.integers(0, net_small.n_segments, size=6)]
+    hops = [anchors[0]]
+    for s in anchors[1:]:
+        if s != hops[-1]:
+            hop = plan_route(net_small, hops[-1], s, costs)
+            hops.extend(hop[1:] if hop is not None else [s])
+    assert stitch_route(net_small, anchors, costs) == hops

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.mma.baselines import HMMMatcher, NearestMatcher
+from repro.mma.baselines import HMMMatcher, NearestMatcher, distance_penalty
+from repro.nn.autodiff import Tensor
 from repro.trmma.baselines import (
     DHTRRecoverer,
     LinearRecoverer,
@@ -27,6 +28,32 @@ def one(trajs_small):
 
 def _recover(rec, tr, obs):
     return rec.recover(tr.x[obs], tr.y[obs], tr.t[obs], tr.t0, obs, len(tr.t))
+
+
+def rollout_autodiff(rec, xs, ys, ts, t0, idxs, n_ticks):
+    """The all-segment greedy decode through the training graph: the
+    reference the forward-only decode must equal bit for bit."""
+    X = rec._obs_X(xs, ys, ts, t0, n_ticks)
+    enc_states, h = rec._encode(X, xs, ys)
+    E = rec.dec.proj(Tensor(rec.seg_feats))
+    b = rec.dec.bias(Tensor(rec.seg_feats)).reshape(len(rec.seg_feats))
+    taus = (np.arange(n_ticks) * rec.eps) / max((n_ticks - 1) * rec.eps, 1e-9)
+    bx = np.interp(np.arange(n_ticks), np.asarray(idxs, dtype=float), np.asarray(xs))
+    by = np.interp(np.arange(n_ticks), np.asarray(idxs, dtype=float), np.asarray(ys))
+    pen = distance_penalty(rec.net, bx, by, delta=150.0) + 4.0 * _heading_cos(rec.net, bx, by)
+    segs = np.zeros(n_ticks, dtype=np.int64)
+    ratios = np.zeros(n_ticks)
+    for tick in range(n_ticks):
+        logits, hc = rec.dec.step(E, b, h, rec._ctx(enc_states, h), pen[tick])
+        k = int(np.argmax(logits.data))
+        r = float(rec.dec.ratio(hc, E[k]).data[0])
+        segs[tick], ratios[tick] = k, r
+        h = rec.dec.advance(h, E[k], r, float(taus[tick]))
+    return segs, ratios
+
+
+SEQ2SEG = (MTrajRecRecoverer, RNTrajRecRecoverer, MMSTGEDRecoverer, TrajGATDecRecoverer,
+           TrajCLDecRecoverer, ST2VecDecRecoverer)
 
 
 def test_linear_recoverer_full_grid(net_small, index_small, pt_norm, one):
@@ -107,8 +134,7 @@ def test_fitted_recoverers_emit_all_ticks(net_small, index_small, pt_norm, trajs
             return trajs_small[:6]
 
     city = MiniCity()
-    for cls in (MTrajRecRecoverer, RNTrajRecRecoverer, MMSTGEDRecoverer, TrajGATDecRecoverer,
-                TrajCLDecRecoverer, ST2VecDecRecoverer, DHTRRecoverer, TERIRecoverer):
+    for cls in SEQ2SEG + (DHTRRecoverer, TERIRecoverer):
         rec = cls(net_small, index_small, pt_norm, 15.0, d=12, seed=0).fit(city, epochs=1)
         segs, ratios = _recover(rec, tr, obs)
         assert len(segs) == len(tr.t)
@@ -122,3 +148,15 @@ def test_recoverers_pickle(net_small, index_small, pt_norm):
     rec = LinearRecoverer(NearestMatcher(net_small, index_small, pt_norm), eps=15.0)
     clone = pickle.loads(pickle.dumps(rec))
     assert clone.name == "Linear"
+
+
+@pytest.mark.parametrize("cls", SEQ2SEG, ids=lambda c: c.name)
+def test_seq2seg_recover_equals_autodiff_reference(net_small, index_small, pt_norm, trajs_small, cls):
+    rec = cls(net_small, index_small, pt_norm, 15.0, d=12, seed=1)
+    for tr in trajs_small[:4]:
+        obs = np.where(tr.observed)[0]
+        args = (tr.x[obs], tr.y[obs], tr.t[obs], tr.t0, obs, len(tr.t))
+        segs, ratios = rec.recover(*args)
+        ref_segs, ref_ratios = rollout_autodiff(rec, *args)
+        assert np.array_equal(segs, ref_segs)
+        assert np.array_equal(ratios, ref_ratios)
