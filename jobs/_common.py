@@ -1,11 +1,12 @@
 """Shared plumbing for the spark-submit entrypoints in jobs/.
 
-Each job builds (or reuses) a local SparkSession configured like the test
-fixture in conftest.py, runs one table's ``tableN_city`` from
-:mod:`repro.evalx.tables` over the chosen cities with ``per_city``, writes
-``reports/<table>.json`` and a markdown rendering, and prints the markdown
-so `spark-submit jobs/<job>.py` output is directly pasteable into
-EXPERIMENTS.md.
+Each job builds (or reuses) the local SparkSession of
+:func:`repro.session.local_spark`, which the test fixture uses too, runs
+one table's ``tableN_city`` from :mod:`repro.evalx.tables` over the chosen
+cities with ``per_city``, writes ``reports/<table>.json`` and a markdown
+rendering, and prints the markdown so `spark-submit jobs/<job>.py` output
+is directly pasteable into EXPERIMENTS.md. Importing this module puts
+``src/`` on ``sys.path``, so the jobs import ``repro`` after it.
 """
 from __future__ import annotations
 
@@ -15,31 +16,7 @@ import os
 import sys
 
 # Allow running the jobs without `pip install -e .` (e.g. plain spark-submit).
-SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
-sys.path.insert(0, SRC)
-
-
-def make_spark(app: str):
-    # Spark's Python workers import repro too; they see the PYTHONPATH they
-    # inherit, not this process's sys.path.
-    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        "--master local[*] --conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false "
-        "--conf spark.ui.showConsoleProgress=false pyspark-shell",
-    )
-    from pyspark.sql import SparkSession
-
-    s = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "32")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    s.sparkContext.setLogLevel("ERROR")
-    return s
+sys.path.insert(0, os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src")))
 
 
 def job_args(desc: str, default_n: int = 700) -> argparse.Namespace:

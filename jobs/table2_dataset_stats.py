@@ -2,14 +2,14 @@
 
 Usage: python jobs/table2_dataset_stats.py [--n-traj 700]
 """
-from _common import finish, job_args, make_spark
+from _common import finish, job_args
+from repro.evalx.tables import PAPER_TABLE2, per_city, table2_city
+from repro.session import local_spark
 
 
 def main() -> None:
     args = job_args("Table II: dataset statistics")
-    spark = make_spark("table2")
-    from repro.evalx.tables import PAPER_TABLE2, per_city, table2_city
-
+    spark = local_spark("table2")
     data = per_city(spark, table2_city, args.n_traj, tuple(args.cities.split(",")), args.seed)
     lines = ["| City | Metric | Paper | Ours |", "|---|---|---|---|"]
     for c, stats in data.items():

@@ -2,14 +2,14 @@
 
 Usage: python jobs/table4_ablation.py [--n-traj 700]
 """
-from _common import finish, job_args, make_spark
+from _common import finish, job_args
+from repro.evalx.tables import per_city, table4_city, table_markdown
+from repro.session import local_spark
 
 
 def main() -> None:
     args = job_args("Table IV: TRMMA ablation")
-    spark = make_spark("table4")
-    from repro.evalx.tables import per_city, table4_city, table_markdown
-
+    spark = local_spark("table4")
     data = per_city(spark, lambda city: table4_city(spark, city, seed=args.seed, verbose=args.verbose),
                     args.n_traj, tuple(args.cities.split(",")), args.seed)
     finish("table4", data, args.out, table_markdown(data, ["accuracy"]))

@@ -12,7 +12,7 @@ can print paper-vs-ours side by side.
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import SparkSession
+from pyspark.sql import SparkSession, Window
 from pyspark.sql import functions as F
 
 from repro.evalx.metrics import (
@@ -48,12 +48,7 @@ from repro.trmma.baselines import (
     TrajGATDecRecoverer,
 )
 from repro.trmma.infer import TRMMARecoverer, run_recovery
-from repro.trmma.train import (
-    segment_time_stats_trajs,
-    train_trmma,
-    trmma_train_trajs,
-    trmma_training_samples,
-)
+from repro.trmma.train import train_mma_trmma
 
 DEFAULT_CITIES = ("pt", "xa", "bj", "cd")
 
@@ -127,8 +122,6 @@ def table2_city(city: CityData) -> dict:
         F.avg("travel_time").alias("avg_travel_time"),
     ).collect()[0]
     # trajectory length via consecutive true-point distances (window lead)
-    from pyspark.sql import Window
-
     win = Window.partitionBy("traj_id").orderBy("idx")
     seglen = (
         pts.select(
@@ -210,14 +203,8 @@ def build_recoverers(city: CityData, seed: int = 0, epochs: int = 4, mma_epochs:
     """Train/construct the 10 recovery methods of Table III."""
     net, index, norm, eps = city.net, city.index, city.norm, city.eps
     costs = historical_costs(city)
-    n2v = node2vec_embeddings(net, d=32, seed=seed)
-    hist_trajs = trmma_train_trajs(city, augment=trmma_augment, seed=seed)
-    tpm = segment_time_stats_trajs(net, hist_trajs, eps)
-    mma_model = train_mma(city, epochs=mma_epochs, seed=seed, n2v=n2v, augment=mma_augment,
-                          verbose=verbose)
-    trmma_samples = trmma_training_samples(city, time_per_meter=tpm, trajs=hist_trajs)
-    trmma_model = train_trmma(city, epochs=trmma_epochs, seed=seed, n2v=n2v,
-                              time_per_meter=tpm, samples=trmma_samples, verbose=verbose)
+    core = train_mma_trmma(city, seed=seed, mma_epochs=mma_epochs, trmma_epochs=trmma_epochs,
+                           mma_augment=mma_augment, trmma_augment=trmma_augment, verbose=verbose)
 
     def fitted(cls):
         return cls(net, index, norm, eps, seed=seed).fit(city, epochs=epochs, verbose=verbose)
@@ -232,23 +219,28 @@ def build_recoverers(city: CityData, seed: int = 0, epochs: int = 4, mma_epochs:
         "MTrajRec": fitted(MTrajRecRecoverer),
         "MM-STGED": fitted(MMSTGEDRecoverer),
         "RNTrajRec": fitted(RNTrajRecRecoverer),
-        "TRMMA": TRMMARecoverer(MMAMatcher(net, index, norm, mma_model), trmma_model,
-                                norm, eps, costs=costs, time_per_meter=tpm),
+        "TRMMA": TRMMARecoverer(MMAMatcher(net, index, norm, core.mma), core.trmma,
+                                norm, eps, costs=costs, time_per_meter=core.time_per_meter),
     }
+
+
+def _recovery_table(spark: SparkSession, city: CityData, recoverers: dict, metrics: list[str],
+                    tag: str, verbose: bool) -> dict:
+    """Run each recoverer over the test split; per method, the mean of ``metrics``."""
+    gt = gt_recovery_frame(city)
+    out = {}
+    for name, rec in recoverers.items():
+        pred = run_recovery(spark, city, rec, split="test")
+        out[name] = aggregate_means(recovery_metrics_per_traj(spark, pred, gt, city.net), metrics)
+        if verbose:
+            print(f"[{tag}:{city.name}] {name}: {out[name]}")
+    return out
 
 
 def table3_city(spark: SparkSession, city: CityData, seed: int = 0, epochs: int = 4,
                 recoverers: dict | None = None, verbose: bool = False) -> dict:
-    gt = gt_recovery_frame(city)
     recoverers = recoverers or build_recoverers(city, seed=seed, epochs=epochs, verbose=verbose)
-    out = {}
-    for name, rec in recoverers.items():
-        pred = run_recovery(spark, city, rec, split="test")
-        per_traj = recovery_metrics_per_traj(spark, pred, gt, city.net)
-        out[name] = aggregate_means(per_traj, RECOVERY_METRIC_COLS)
-        if verbose:
-            print(f"[table3:{city.name}] {name}: {out[name]}")
-    return out
+    return _recovery_table(spark, city, recoverers, RECOVERY_METRIC_COLS, "table3", verbose)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +248,9 @@ def table3_city(spark: SparkSession, city: CityData, seed: int = 0, epochs: int 
 # ---------------------------------------------------------------------------
 def table4_city(spark: SparkSession, city: CityData, seed: int = 0, verbose: bool = False,
                 recoverers: dict | None = None) -> dict:
-    costs = historical_costs(city)
-    gt = gt_recovery_frame(city)
-    recoverers = recoverers or train_ablation_suite(city, seed=seed, costs=costs, verbose=verbose)
-    out = {}
-    for name, rec in recoverers.items():
-        pred = run_recovery(spark, city, rec, split="test")
-        per_traj = recovery_metrics_per_traj(spark, pred, gt, city.net)
-        out[name] = aggregate_means(per_traj, ["accuracy"])
-        if verbose:
-            print(f"[table4:{city.name}] {name}: {out[name]}")
-    return out
+    recoverers = recoverers or train_ablation_suite(city, seed=seed, costs=historical_costs(city),
+                                                    verbose=verbose)
+    return _recovery_table(spark, city, recoverers, ["accuracy"], "table4", verbose)
 
 
 # ---------------------------------------------------------------------------

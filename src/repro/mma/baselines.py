@@ -35,7 +35,7 @@ from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.node2vec import node2vec_embeddings
 from repro.roadnet.routing import network_distance_for
 from repro.roadnet.spatial_index import SegmentIndex
-from repro.traj.datasets import CityData
+from repro.traj.datasets import CITY_PRESETS, CityData
 from repro.traj.generate import simulate_city_trajectories
 
 
@@ -271,8 +271,6 @@ class DeepMMMatcher:
         seqs, labels, pens = [], [], []
         trajs = city.trajs("train")
         if augment:
-            from repro.traj.datasets import CITY_PRESETS
-
             p = CITY_PRESETS[city.name]
             trajs = trajs + simulate_city_trajectories(
                 city.net, augment, eps=p["eps"], target_len=p["target_len"], speed_mu=p["speed"],

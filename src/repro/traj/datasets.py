@@ -143,7 +143,6 @@ def build_city(
     n_traj: int,
     gamma: float = 0.1,
     seed: int = 0,
-    n_partitions: int | None = None,
 ) -> CityData:
     """Generate a city dataset deterministically and wrap it in Spark.
 
@@ -167,7 +166,7 @@ def build_city(
         kin_seed=p["net_seed"] + 7,
     )
     points_pd, routes_pd = trajectories_to_frames(trajs, city)
-    parts = n_partitions or max(2, min(16, n_traj // 50))
+    parts = max(2, min(16, n_traj // 50))
     points = spark.createDataFrame(points_pd).repartition(parts, "traj_id").cache()
     routes = spark.createDataFrame(routes_pd).repartition(parts, "traj_id").cache()
     x0, y0, x1, y1 = net.bbox()

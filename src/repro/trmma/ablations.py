@@ -17,16 +17,10 @@ import numpy as np
 
 from repro.mma.baselines import HMMMatcher, MMAMatcher, NearestMatcher
 from repro.mma.train import train_mma
-from repro.roadnet.node2vec import node2vec_embeddings
 from repro.traj.datasets import CityData
 from repro.trmma.baselines import LinearRecoverer
 from repro.trmma.infer import TRMMARecoverer
-from repro.trmma.train import (
-    segment_time_stats_trajs,
-    train_trmma,
-    trmma_train_trajs,
-    trmma_training_samples,
-)
+from repro.trmma.train import train_mma_trmma, train_trmma
 
 
 def train_ablation_suite(
@@ -47,18 +41,15 @@ def train_ablation_suite(
     requires.
     """
     net, index, norm = city.net, city.index, city.norm
-    n2v = node2vec_embeddings(net, d=32, seed=seed)
-    hist = trmma_train_trajs(city, augment=trmma_augment, seed=seed)
-    tpm = segment_time_stats_trajs(net, hist, city.eps)
-    samples = trmma_training_samples(city, time_per_meter=tpm, trajs=hist)
+    n2v, tpm, samples, mma, trmma = train_mma_trmma(
+        city, seed=seed, mma_epochs=mma_epochs, trmma_epochs=trmma_epochs,
+        mma_augment=mma_augment, trmma_augment=trmma_augment, verbose=verbose,
+    )
 
-    mma = train_mma(city, epochs=mma_epochs, seed=seed, n2v=n2v, augment=mma_augment, verbose=verbose)
     mma_nc = train_mma(city, epochs=mma_epochs, seed=seed, n2v=n2v, use_context=False,
                        augment=mma_augment, verbose=verbose)
     mma_ndi = train_mma(city, epochs=mma_epochs, seed=seed, n2v=n2v, use_direction=False,
                         augment=mma_augment, verbose=verbose)
-    trmma = train_trmma(city, epochs=trmma_epochs, seed=seed, n2v=n2v, time_per_meter=tpm,
-                        samples=samples, verbose=verbose)
     trmma_df = train_trmma(
         city, epochs=trmma_epochs, seed=seed, n2v=n2v, time_per_meter=tpm,
         samples=samples, use_dualformer=False, verbose=verbose,

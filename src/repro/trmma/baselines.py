@@ -100,6 +100,17 @@ def snap_with_direction(net, index, px, py, k: int = 6, w_dir: float = 30.0):
 # ---------------------------------------------------------------------------
 # Learned recoverers
 # ---------------------------------------------------------------------------
+def subgraph_means(index: SegmentIndex, n2v: np.ndarray, xs, ys, k_c: int) -> np.ndarray:
+    """(ℓ, d) mean Node2Vec embedding of each point's top-``k_c`` candidate
+    segments (its surrounding subgraph); zeros where a point has none."""
+    sub = np.zeros((len(xs), n2v.shape[1]))
+    for i in range(len(xs)):
+        ids, _ = index.query(float(xs[i]), float(ys[i]), k_c)
+        if len(ids):
+            sub[i] = n2v[ids].mean(axis=0)
+    return sub
+
+
 class _LearnedRecoverer:
     """Shared base of the learned recovery baselines: construction, the
     parameter list and training.
@@ -321,11 +332,7 @@ class RNTrajRecRecoverer(_Seq2SegRecoverer):
         self.enc = TransformerEncoder(self.d, n_layers=2, n_heads=2, rng=rng)
 
     def _encode(self, X, xs, ys):
-        sub = np.zeros((len(X), 16))
-        for i in range(len(X)):
-            ids, _ = self.index.query(float(xs[i]), float(ys[i]), self.k_c)
-            if len(ids):
-                sub[i] = self.n2v[ids].mean(axis=0)
+        sub = subgraph_means(self.index, self.n2v, xs, ys, self.k_c)
         states = self.enc(self.inp(Tensor(np.concatenate([X, sub], axis=1))))
         return states, states.mean(axis=0)
 
@@ -342,11 +349,7 @@ class MMSTGEDRecoverer(RNTrajRecRecoverer):
         self.enc = GRU(self.d, self.d, rng)
 
     def _encode(self, X, xs, ys):
-        sub = np.zeros((len(X), 16))
-        for i in range(len(X)):
-            ids, _ = self.index.query(float(xs[i]), float(ys[i]), self.k_c)
-            if len(ids):
-                sub[i] = self.n2v[ids].mean(axis=0)
+        sub = subgraph_means(self.index, self.n2v, xs, ys, self.k_c)
         xs = np.asarray(xs)
         ys = np.asarray(ys)
         span = max(self.norm["x1"] - self.norm["x0"], 1e-9)
@@ -394,12 +397,8 @@ class TrajGATDecRecoverer(_PooledRecoverer):
         self.pool = MLP([self.d, self.d, 1], rng)  # attention scorer
 
     def _pool(self, X, xs, ys):
-        embs = []
-        for i in range(len(X)):
-            ids, _ = self.index.query(float(xs[i]), float(ys[i]), self.k_c)
-            embs.append(self.n2v[ids].mean(axis=0) if len(ids) else np.zeros(16))
-        z = self.enc(Tensor(np.array(embs)))  # (ℓ, d)
-        a = self.pool(z).reshape(len(embs)).softmax(axis=-1)
+        z = self.enc(Tensor(subgraph_means(self.index, self.n2v, xs, ys, self.k_c)))  # (ℓ, d)
+        a = self.pool(z).reshape(len(xs)).softmax(axis=-1)
         return a @ z
 
 

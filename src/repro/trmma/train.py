@@ -1,12 +1,17 @@
 """Driver-side training for TRMMA (Eq. (21) objective, teacher forcing),
 plus the historical per-segment travel-time statistic that feeds the
-expected-offset prior (see :meth:`repro.trmma.model.TRMMAModel.expected_offsets`).
+expected-offset prior (see :meth:`repro.trmma.model.TRMMAModel.expected_offsets`),
+and :func:`train_mma_trmma`, the MMA + TRMMA pair Tables III and IV share.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from pyspark.sql import functions as F
 
+from repro.mma.model import MMAModel
+from repro.mma.train import augmented_trajs, train_mma
 from repro.nn.autodiff import mean_of
 from repro.nn.optim import fit
 from repro.roadnet.node2vec import node2vec_embeddings
@@ -64,8 +69,6 @@ def segment_time_stats_trajs(net, trajs, eps: float) -> np.ndarray:
 def trmma_train_trajs(city: CityData, augment: int = 0, seed: int = 0):
     """Train-split trajectories plus optional simulated history (see
     :func:`repro.mma.train.augmented_trajs`)."""
-    from repro.mma.train import augmented_trajs
-
     return city.trajs("train") + augmented_trajs(city, augment, seed)
 
 
@@ -120,3 +123,38 @@ def train_trmma(
         for ep, loss in enumerate(means):
             print(f"[trmma:{city.name}] epoch {ep + 1}/{epochs} loss={loss:.4f}")
     return model
+
+
+class TrainedPair(NamedTuple):
+    """MMA and TRMMA trained on one city, with the inputs they share."""
+
+    n2v: np.ndarray
+    time_per_meter: np.ndarray
+    samples: list[TrmmaSample]
+    mma: MMAModel
+    trmma: TRMMAModel
+
+
+def train_mma_trmma(
+    city: CityData,
+    seed: int = 0,
+    mma_epochs: int = 8,
+    trmma_epochs: int = 4,
+    mma_augment: int = 800,
+    trmma_augment: int = 250,
+    verbose: bool = False,
+) -> TrainedPair:
+    """Train the full MMA and TRMMA as Tables III and IV do.
+
+    Node2Vec (d = 32), the time-per-metre prior and TRMMA's samples come
+    from the train split plus ``trmma_augment`` simulated trajectories, and
+    are returned so the Table IV variants train on the same inputs.
+    """
+    n2v = node2vec_embeddings(city.net, d=32, seed=seed)
+    hist = trmma_train_trajs(city, augment=trmma_augment, seed=seed)
+    tpm = segment_time_stats_trajs(city.net, hist, city.eps)
+    samples = trmma_training_samples(city, time_per_meter=tpm, trajs=hist)
+    mma = train_mma(city, epochs=mma_epochs, seed=seed, n2v=n2v, augment=mma_augment, verbose=verbose)
+    trmma = train_trmma(city, epochs=trmma_epochs, seed=seed, n2v=n2v, time_per_meter=tpm,
+                        samples=samples, verbose=verbose)
+    return TrainedPair(n2v, tpm, samples, mma, trmma)

@@ -5,13 +5,27 @@ Spark are session-scoped so the dataset is generated once per run.
 """
 from __future__ import annotations
 
-import numpy as np
+import sys
+
 import pytest
 
 from repro.roadnet.generate import make_city
 from repro.roadnet.spatial_index import SegmentIndex
-from repro.traj.datasets import CITY_PRESETS
+from repro.session import local_spark
 from repro.traj.generate import simulate_city_trajectories
+
+
+@pytest.fixture(scope="session")
+def spark():
+    """One local SparkSession for the whole test session, built exactly as
+    the table jobs build theirs (:func:`repro.session.local_spark`)."""
+    s = local_spark("repro")
+    conf = s.sparkContext.getConf()
+    print(f"[conftest] spark.driver.memory={conf.get('spark.driver.memory', 'default')} "
+          f"master={s.sparkContext.master} "
+          f"defaultParallelism={s.sparkContext.defaultParallelism}", file=sys.stderr)
+    yield s
+    s.stop()
 
 
 @pytest.fixture(scope="session")

@@ -56,3 +56,11 @@ def test_end_to_end_beats_random(spark, pt_city, recovered):
     per = recovery_metrics_per_traj(spark, recovered, gt, pt_city.net)
     means = aggregate_means(per, ["accuracy"])
     assert means["accuracy"] > 0.15  # chance ≈ 1/n_segments
+
+
+def test_route_restricts_decoding_tenfold(pt_city):
+    """The structural claim behind Fig. 5: TRMMA classifies each missing
+    tick over the ℓ_R segments of the matched route, an all-segment
+    decoder over all n, and n / mean ℓ_R exceeds 10 on the test split."""
+    mean_route = np.mean([len(tr.route) for tr in pt_city.trajs("test")])
+    assert pt_city.net.n_segments / mean_route > 10

@@ -1,16 +1,15 @@
 """No program module imports a name it never uses.
 
 The project depends on no linter, so this is a small ``ast`` scan over
-``src/``, ``jobs/`` and ``benchmarks/``. A name counts as used when it
-appears anywhere in the module as an identifier (annotations included) or
-in ``__all__``. Import lines marked ``# noqa: F401`` are skipped: they
+``src/`` and ``jobs/``. A name counts as used when it appears anywhere in
+the module as an identifier (annotations included) or in ``__all__``. Import lines marked ``# noqa: F401`` are skipped: they
 re-export a name or keep it where a caller looks it up.
 """
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src", "jobs", "benchmarks") for p in (ROOT / d).rglob("*.py"))
+FILES = sorted(p for d in ("src", "jobs") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
