@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mma.features import K_C, build_mma_sample, candidate_features, point_features
-from repro.nn.autodiff import Tensor, mean_of
+from repro.nn.autodiff import Tensor, like, mean_of
 from repro.nn.gru import GRU
 from repro.nn.layers import Linear, MLP, Module
 from repro.nn.optim import fit
@@ -186,17 +186,16 @@ class _FullVocabModel(Module):
         # dominates until the learned scores become informative
         self.gain = Tensor(np.array([0.3]), requires_grad=True)
 
-    def logits(self, X: np.ndarray, penalty: np.ndarray | None = None) -> Tensor:
-        """Per-point scores over all n segments; ``penalty (ℓ, n)`` is the
-        locality prior (DeepMM's grid restriction / RNTrajRec's
+    def logits(self, X, penalty: np.ndarray):
+        """Per-point scores over all n segments for point features ``X``
+        (a Tensor builds the graph, an array builds none); ``penalty (ℓ, n)``
+        is the locality prior (DeepMM's grid restriction / RNTrajRec's
         surrounding-subgraph focus expressed as a soft distance penalty)."""
-        h = self.enc(self.inp(Tensor(X)))  # (ℓ, d)
-        E = self.proj(Tensor(self.seg_feats))  # (n, d)
-        b = self.bias(Tensor(self.seg_feats)).reshape(1, len(self.seg_feats))
-        out = (h @ E.transpose()) * self.gain + b
-        if penalty is not None:
-            out = out + Tensor(penalty)
-        return out
+        h = self.enc(self.inp(X))  # (ℓ, d)
+        F = like(self.seg_feats, X)
+        E = self.proj(F)  # (n, d)
+        b = self.bias(F).reshape(1, len(self.seg_feats))
+        return (h @ E.transpose()) * like(self.gain, X) + b + penalty
 
 
 def distance_penalty(net: RoadNetwork, xs, ys, delta: float = 100.0, floor: float = -60.0) -> np.ndarray:
@@ -286,7 +285,7 @@ class DeepMMMatcher:
             pens.append(matcher_locality_prior(self.net, tr.x[obs], tr.y[obs]))
 
         def nll(i):
-            lp = self.model.logits(seqs[i], pens[i]).log_softmax(axis=-1)
+            lp = self.model.logits(Tensor(seqs[i]), pens[i]).log_softmax(axis=-1)
             return -lp[np.arange(len(labels[i])), labels[i]].mean()
 
         fit(self.model.parameters(), len(seqs), lambda idx: mean_of([nll(i) for i in idx]),
@@ -296,7 +295,7 @@ class DeepMMMatcher:
     def match(self, xs, ys, ts, t0) -> np.ndarray:
         X = point_features(np.asarray(xs), np.asarray(ys), np.asarray(ts), t0, self.norm)
         pen = matcher_locality_prior(self.net, xs, ys)
-        return self.model.logits(X, pen).data.argmax(axis=1).astype(np.int64)
+        return self.model.logits(X, pen).argmax(axis=1).astype(np.int64)
 
 
 class RNTrajRecRouteMatcher(DeepMMMatcher):
@@ -361,7 +360,7 @@ class GraphMMMatcher:
         out = np.zeros(len(xs), dtype=np.int64)
         for i in range(len(xs)):
             Xi = np.concatenate([self.emb[cand[i]], feats[i]], axis=1)
-            logits = self.mlp(Tensor(Xi)).data.reshape(-1)
+            logits = self.mlp(Xi).reshape(-1)
             logits[~mask[i]] = -np.inf
             out[i] = cand[i, int(np.argmax(logits))]
         return out

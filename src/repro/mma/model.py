@@ -47,34 +47,32 @@ class MMAModel(Module):
         self.trans = TransformerEncoder(d2, n_layers=n_layers, n_heads=n_heads, rng=rng)
         self.attn_mlp = MLP([2 * d2, d3, 1], rng)
 
-    def forward(self, s: MMASample) -> Tensor:
-        """Logits ``c_j · p_i`` of shape (ℓ, k_c); invalid slots get -1e9."""
+    def forward(self, s: MMASample, X):
+        """Logits ``c_j · p_i`` of shape (ℓ, k_c); invalid slots get -1e9.
+
+        ``X`` is ``s.X``, the point features: as an array the pass builds
+        no graph, as a :class:`Tensor` it builds the autodiff graph."""
         ell, kc = s.cand.shape
-        z1 = self.point_fc(Tensor(s.X))  # (ℓ, d2)
-        z2 = self.trans(z1)  # Eq.(3)
-
-        e_c = self.seg_emb(s.cand.reshape(-1))  # (ℓ·k, d0)
-        zc = concat([e_c, Tensor(s.feats.reshape(ell * kc, N_CAND_FEATS))], axis=-1)
+        z2 = self.trans(self.point_fc(X))  # Eq.(3), (ℓ, d2)
+        e_c = self.seg_emb(s.cand.reshape(-1), X)  # (ℓ·k, d0)
+        zc = concat([e_c, s.feats.reshape(ell * kc, N_CAND_FEATS)], axis=-1)
         c = self.cand_mlp(zc).reshape(ell, kc, self.d2)  # Eq.(2)
-
-        # broadcast z2 to (ℓ, k, d2) for the per-candidate attention MLP
-        z2e = z2.reshape(ell, 1, self.d2) + Tensor(np.zeros((1, kc, 1)))
+        masked_out = np.where(s.mask, 0.0, -1e9)
         if self.use_context:
+            # broadcast z2 to (ℓ, k, d2) for the per-candidate attention MLP
+            z2e = z2.reshape(ell, 1, self.d2) + np.zeros((1, kc, 1))
             scores = self.attn_mlp(concat([z2e, c], axis=-1)).reshape(ell, kc)  # Eq.(7)
-            masked = scores + Tensor(np.where(s.mask, 0.0, -1e9))
-            alpha = masked.softmax(axis=-1)
-            ctx = (alpha.reshape(ell, kc, 1) * c).sum(axis=1)  # (ℓ, d2)
-            p = z2 + ctx  # Eq.(8)
+            alpha = softmax(scores + masked_out, axis=-1)
+            p = z2 + (alpha.reshape(ell, kc, 1) * c).sum(axis=1)  # Eq.(8)
         else:
             p = z2
-        logits = (c * p.reshape(ell, 1, self.d2)).sum(axis=-1)  # Eq.(9) pre-sigmoid
-        return logits + Tensor(np.where(s.mask, 0.0, -1e9))
+        return (c * p.reshape(ell, 1, self.d2)).sum(axis=-1) + masked_out  # Eq.(9) pre-sigmoid
 
     def loss(self, s: MMASample) -> Tensor:
         """Binary cross-entropy over candidates (Eq. (10)), averaged over
         the trajectory's points; unmatched points (label -1) contribute
         only negative terms, mirroring the paper's all-class-0 case."""
-        logits = self.forward(s)
+        logits = self.forward(s, Tensor(s.X))
         ell, kc = s.cand.shape
         y = np.zeros((ell, kc))
         rows = np.where(s.label >= 0)[0]
@@ -87,25 +85,7 @@ class MMAModel(Module):
         m = s.mask.astype(np.float64)
         return (bce * Tensor(m)).sum() * (1.0 / max(1.0, m.sum()))
 
-    def forward_np(self, s: MMASample) -> np.ndarray:
-        """:meth:`forward`'s logits, forward only (bit-identical)."""
-        ell, kc = s.cand.shape
-        z2 = self.trans.forward_np(self.point_fc.forward_np(s.X))
-        zc = np.concatenate(
-            [self.seg_emb.forward_np(s.cand.reshape(-1)), s.feats.reshape(ell * kc, N_CAND_FEATS)], axis=-1
-        )
-        c = self.cand_mlp.forward_np(zc).reshape(ell, kc, self.d2)
-        masked_out = np.where(s.mask, 0.0, -1e9)
-        if self.use_context:
-            z2e = z2.reshape(ell, 1, self.d2) + np.zeros((1, kc, 1))
-            scores = self.attn_mlp.forward_np(np.concatenate([z2e, c], axis=-1)).reshape(ell, kc)
-            alpha = softmax(scores + masked_out, axis=-1)
-            p = z2 + (alpha.reshape(ell, kc, 1) * c).sum(axis=1)
-        else:
-            p = z2
-        return (c * p.reshape(ell, 1, self.d2)).sum(axis=-1) + masked_out
-
     def predict(self, s: MMASample) -> np.ndarray:
         """Matched segment id per point: argmax_{c ∈ C} P(c|p) (Alg.1 l.9)."""
-        pick = self.forward_np(s).argmax(axis=1)
+        pick = self.forward(s, s.X).argmax(axis=1)
         return s.cand[np.arange(len(pick)), pick]

@@ -13,9 +13,13 @@ elementwise arithmetic, relu/sigmoid/tanh/exp/log/sqrt/pow, reductions,
 reshape/transpose/slicing, concat/stack, and composite softmax /
 log-softmax. All math is float64.
 
-``relu``, ``sigmoid`` and ``softmax`` are the same ops on plain arrays, in
-the same order, for the layers' forward-only ``forward_np`` (inference
-builds no graph; its results equal the graph's bit for bit).
+The free functions (``relu``, ``sigmoid``, ``tanh``, ``softmax``, ``mean``,
+``concat``, ``stack``) take either type: on a :class:`Tensor` they run the
+Tensor op, on a plain array the same numpy ops in the same order. So one
+``forward`` per layer serves both modes, chosen by its input's type:
+training feeds Tensors and builds the graph, inference feeds arrays and
+builds none, and both give bit-identical outputs. :func:`like` puts a
+parameter or constant in its input's mode.
 """
 from __future__ import annotations
 
@@ -41,21 +45,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if s == 1 and g != 1:
             grad = grad.sum(axis=ax, keepdims=True)
     return grad.reshape(shape)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return x * (x > 0)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """:meth:`Tensor.softmax` on an array: shift, clipped exp, then the
-    division as a product with the sum's reciprocal."""
-    e = np.exp(np.clip(x - x.max(axis=axis, keepdims=True), -700, 700))
-    return e * np.power(e.sum(axis=axis, keepdims=True), -1.0)
 
 
 class Tensor:
@@ -235,11 +224,7 @@ class Tensor:
         return self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            n = self.data.size
-        else:
-            n = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        return mean(self, axis=axis, keepdims=keepdims)
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         idx = np.argmax(self.data, axis=axis)
@@ -341,8 +326,48 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate tensors along ``axis`` (differentiable)."""
+def like(v, x):
+    """``v`` in ``x``'s mode: ``v`` as a Tensor when ``x`` is one (a
+    parameter stays itself, so gradients reach it), else as a plain array
+    (a parameter's ``.data``)."""
+    if isinstance(x, Tensor):
+        return Tensor._lift(v)
+    return v.data if isinstance(v, Tensor) else v
+
+
+def relu(x):
+    return x.relu() if isinstance(x, Tensor) else x * (x > 0)
+
+
+def sigmoid(x):
+    if isinstance(x, Tensor):
+        return x.sigmoid()
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
+
+
+def tanh(x):
+    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
+
+
+def softmax(x, axis: int = -1):
+    """Shift, clipped exp, then the division as a product with the sum's
+    reciprocal (:meth:`Tensor.softmax`'s ops on an array)."""
+    if isinstance(x, Tensor):
+        return x.softmax(axis=axis)
+    e = np.exp(np.clip(x - x.max(axis=axis, keepdims=True), -700, 700))
+    return e * np.power(e.sum(axis=axis, keepdims=True), -1.0)
+
+
+def mean(x, axis=None, keepdims: bool = False):
+    """The sum times ``1/n`` (not numpy's mean, which rounds differently)."""
+    n = int(np.prod(x.shape)) if axis is None else x.shape[axis]
+    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+def concat(tensors: Sequence, axis: int = -1):
+    """Concatenate along ``axis``; differentiable if any part is a Tensor."""
+    if Tensor not in map(type, tensors):
+        return np.concatenate(tensors, axis=axis)
     tensors = [Tensor._lift(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -358,8 +383,11 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return out
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack equal-shape tensors along a new ``axis`` (differentiable)."""
+def stack(tensors: Sequence, axis: int = 0):
+    """Stack equal shapes along a new ``axis``; differentiable if any part
+    is a Tensor."""
+    if Tensor not in map(type, tensors):
+        return np.stack(tensors, axis=axis)
     tensors = [Tensor._lift(t) for t in tensors]
 
     def backward(g):

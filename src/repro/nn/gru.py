@@ -1,17 +1,17 @@
 """GRU (Cho et al. 2014), the sequential decoder backbone of TRMMA (§V) and
 of the MTrajRec-style baselines.
 
-``GRUCell.forward`` advances one step (``forward_np``: the same step on
-plain arrays, for inference); :class:`GRU` unrolls a full input
-sequence and returns all hidden states. Sequences here are short (tens of
-steps), so the Python-level unroll is cheap and keeps the autodiff graph
-simple.
+``GRUCell.forward`` advances one step; :class:`GRU` unrolls a full input
+sequence and returns all hidden states. Like every layer, each runs on
+plain arrays or builds the autodiff graph, as its input's type says.
+Sequences here are short (tens of steps), so the Python-level unroll is
+cheap and keeps the autodiff graph simple.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autodiff import Tensor, concat, sigmoid, stack
+from repro.nn.autodiff import concat, sigmoid, stack, tanh
 from repro.nn.layers import Linear, Module
 
 
@@ -24,22 +24,16 @@ class GRUCell(Module):
         self.Wr = Linear(d_in + d_h, d_h, rng)
         self.Wh = Linear(d_in + d_h, d_h, rng)
 
-    def forward(self, x: Tensor, h: Tensor) -> Tensor:
+    def forward(self, x, h):
         xh = concat([x, h], axis=-1)
-        z = self.Wz(xh).sigmoid()
-        r = self.Wr(xh).sigmoid()
-        hhat = self.Wh(concat([x, r * h], axis=-1)).tanh()
+        z = sigmoid(self.Wz(xh))
+        r = sigmoid(self.Wr(xh))
+        hhat = tanh(self.Wh(concat([x, r * h], axis=-1)))
         return (1.0 - z) * h + z * hhat
 
-    def forward_np(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        xh = np.concatenate([x, h], axis=-1)
-        z = sigmoid(self.Wz.forward_np(xh))
-        r = sigmoid(self.Wr.forward_np(xh))
-        hhat = np.tanh(self.Wh.forward_np(np.concatenate([x, r * h], axis=-1)))
-        return (1.0 - z) * h + z * hhat
-
-    def init_state(self) -> Tensor:
-        return Tensor(np.zeros(self.d_h))
+    def init_state(self) -> np.ndarray:
+        """The zero state; a constant, so valid in either mode."""
+        return np.zeros(self.d_h)
 
 
 class GRU(Module):
@@ -52,7 +46,7 @@ class GRU(Module):
     def __init__(self, d_in: int, d_h: int, rng: np.random.Generator):
         self.cell = GRUCell(d_in, d_h, rng)
 
-    def forward(self, x: Tensor, h0: Tensor | None = None) -> Tensor:
+    def forward(self, x, h0=None):
         h = h0 if h0 is not None else self.cell.init_state()
         outs = []
         for i in range(x.shape[0]):
@@ -69,7 +63,7 @@ class BiGRU(Module):
         self.fwd = GRU(d_in, d_h, rng)
         self.bwd = GRU(d_in, d_h, rng)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x):
         hf = self.fwd(x)
         rev = np.arange(x.shape[0] - 1, -1, -1)
         hb = self.bwd(x[rev])[rev]

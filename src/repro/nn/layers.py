@@ -5,17 +5,17 @@ Spark broadcast path (``state_dict``/``load_state_dict``) can treat every
 model uniformly. Parameter init follows the usual Glorot-uniform scheme with
 a per-module ``np.random.Generator`` for determinism.
 
-Each layer has two forward passes over the same weights: ``forward`` builds
-the autodiff graph and is used for training only; ``forward_np`` is plain
-numpy for inference. ``forward_np`` repeats ``forward``'s ops in the same
-order (a mean is a sum times ``1/n``, a division a product with the
-reciprocal), so both give bit-identical outputs.
+Each layer has one ``forward``, and its input's type picks the mode: a
+:class:`Tensor` builds the autodiff graph (training), a plain array runs
+the same ops on arrays and builds none (inference). Parameters are read
+through :func:`repro.nn.autodiff.like`, so both modes give bit-identical
+outputs.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autodiff import Tensor, relu
+from repro.nn.autodiff import Tensor, like, mean, relu
 
 
 class Module:
@@ -71,13 +71,9 @@ class Linear(Module):
         self.W = Tensor(glorot(rng, d_in, d_out), requires_grad=True)
         self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        y = x @ self.W
-        return y + self.b if self.b is not None else y
-
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        y = x @ self.W.data
-        return y + self.b.data if self.b is not None else y
+    def forward(self, x):
+        y = x @ like(self.W, x)
+        return y + like(self.b, x) if self.b is not None else y
 
 
 class MLP(Module):
@@ -88,16 +84,9 @@ class MLP(Module):
             raise ValueError("MLP needs at least [d_in, d_out]")
         self.layers = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x):
         for i, layer in enumerate(self.layers):
             x = layer(x)
-            if i < len(self.layers) - 1:
-                x = x.relu()
-        return x
-
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        for i, layer in enumerate(self.layers):
-            x = layer.forward_np(x)
             if i < len(self.layers) - 1:
                 x = relu(x)
         return x
@@ -111,18 +100,10 @@ class LayerNorm(Module):
         self.beta = Tensor(np.zeros(d), requires_grad=True)
         self.eps = eps
 
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        xhat = centered * (var + self.eps).pow(-0.5)
-        return xhat * self.gamma + self.beta
-
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        inv_n = 1.0 / x.shape[-1]
-        centered = x - x.sum(axis=-1, keepdims=True) * inv_n
-        var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-        return centered * np.power(var + self.eps, -0.5) * self.gamma.data + self.beta.data
+    def forward(self, x):
+        centered = x - mean(x, axis=-1, keepdims=True)
+        var = mean(centered * centered, axis=-1, keepdims=True)
+        return centered * (var + self.eps) ** -0.5 * like(self.gamma, x) + like(self.beta, x)
 
 
 class Embedding(Module):
@@ -139,8 +120,7 @@ class Embedding(Module):
             w = rng.normal(0, 0.1, size=(n, d))
         self.W = Tensor(w, requires_grad=True)
 
-    def forward(self, ids) -> Tensor:
-        return self.W[np.asarray(ids, dtype=np.int64)]
-
-    def forward_np(self, ids) -> np.ndarray:
-        return self.W.data[np.asarray(ids, dtype=np.int64)]
+    def forward(self, ids, x):
+        """Rows of ``ids`` in the mode of ``x``, any input of the calling
+        model (ids carry no type)."""
+        return like(self.W, x)[np.asarray(ids, dtype=np.int64)]

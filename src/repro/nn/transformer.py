@@ -4,14 +4,15 @@ Operates on a single sequence ``X ∈ R^{ℓ × d}`` (the paper's trajectories
 and routes are short, so we process one sequence at a time rather than
 padded batches). Includes sinusoidal positional encoding, multi-head
 self-attention, position-wise FFN, residual connections and LayerNorm —
-the exact composition of Eq. (6). ``forward_np`` is the same computation
-on plain arrays, for inference (see :mod:`repro.nn.layers`).
+the exact composition of Eq. (6). Each ``forward`` runs on plain arrays or
+builds the autodiff graph, as its input's type says (see
+:mod:`repro.nn.layers`).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autodiff import Tensor, relu, softmax
+from repro.nn.autodiff import relu, softmax
 from repro.nn.layers import LayerNorm, Linear, Module
 
 
@@ -40,25 +41,15 @@ class MultiHeadAttention(Module):
         self.Wv = Linear(d, d, rng, bias=False)
         self.Wo = Linear(d, d, rng, bias=False)
 
-    def forward(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    def forward(self, q, k, v):
         lq, lk = q.shape[0], k.shape[0]
         # (ℓ, d) → (h, ℓ, dk)
         Q = self.Wq(q).reshape(lq, self.h, self.dk).transpose(1, 0, 2)
         K = self.Wk(k).reshape(lk, self.h, self.dk).transpose(1, 0, 2)
         V = self.Wv(v).reshape(lk, self.h, self.dk).transpose(1, 0, 2)
-        scores = (Q @ K.transpose(0, 2, 1)) * (1.0 / np.sqrt(self.dk))
-        attn = scores.softmax(axis=-1)
-        out = (attn @ V).transpose(1, 0, 2).reshape(lq, self.d)
-        return self.Wo(out)
-
-    def forward_np(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        lq, lk = q.shape[0], k.shape[0]
-        Q = self.Wq.forward_np(q).reshape(lq, self.h, self.dk).transpose(1, 0, 2)
-        K = self.Wk.forward_np(k).reshape(lk, self.h, self.dk).transpose(1, 0, 2)
-        V = self.Wv.forward_np(v).reshape(lk, self.h, self.dk).transpose(1, 0, 2)
         attn = softmax((Q @ K.transpose(0, 2, 1)) * (1.0 / np.sqrt(self.dk)), axis=-1)
         out = (attn @ V).transpose(1, 0, 2).reshape(lq, self.d)
-        return self.Wo.forward_np(out)
+        return self.Wo(out)
 
 
 class TransformerLayer(Module):
@@ -71,13 +62,9 @@ class TransformerLayer(Module):
         self.ln1 = LayerNorm(d)
         self.ln2 = LayerNorm(d)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x):
         x = self.ln1(x + self.attn(x, x, x))
-        return self.ln2(x + self.ffn2(self.ffn1(x).relu()))
-
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        x = self.ln1.forward_np(x + self.attn.forward_np(x, x, x))
-        return self.ln2.forward_np(x + self.ffn2.forward_np(relu(self.ffn1.forward_np(x))))
+        return self.ln2(x + self.ffn2(relu(self.ffn1(x))))
 
 
 class TransformerEncoder(Module):
@@ -99,16 +86,9 @@ class TransformerEncoder(Module):
         self.use_pos = use_pos
         self.d = d
 
-    def forward(self, x: Tensor) -> Tensor:
-        if self.use_pos:
-            x = x + Tensor(positional_encoding(x.shape[0], self.d))
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x):
         if self.use_pos:
             x = x + positional_encoding(x.shape[0], self.d)
         for layer in self.layers:
-            x = layer.forward_np(x)
+            x = layer(x)
         return x

@@ -20,17 +20,24 @@ from pyspark.sql import SparkSession
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+# Where _driver_memory looks for a memory bound, in order: the cgroup v2
+# and v1 limits, then the host's physical memory.
+CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+MEMINFO = "/proc/meminfo"
+
+
 def _driver_memory() -> str:
-    """``SPARK_DRIVER_MEM`` if set, else ~75% of the cgroup memory limit.
+    """``SPARK_DRIVER_MEM`` if set, else ~75% of the cgroup memory limit,
+    else half of ``MemTotal`` clamped to 2–8g (as the Tier-1 command does).
 
     The cgroup read is best-effort: a sandbox's sysfs emulation may not
     pass the host limit through. An unbounded value (cgroup-v1's ~9.2e18
-    "unlimited" sentinel, or a missing limit) is treated as absent, and
-    the heap falls back to 48g, a ceiling the JVM only reserves.
+    "unlimited" sentinel, or a missing limit) is treated as absent. Without
+    ``/proc/meminfo`` either, the heap is 2g.
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
-    for p in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
+    for p in CGROUP_LIMITS:
         try:
             raw = open(p).read().strip()
             if not raw or raw == "max":
@@ -40,7 +47,12 @@ def _driver_memory() -> str:
                 return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
-    return "48g"
+    try:
+        with open(MEMINFO) as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+    except (OSError, ValueError, StopIteration, IndexError):
+        return "2g"
+    return f"{min(8, max(2, kib // (2 << 20)))}g"
 
 
 def local_spark(app: str) -> SparkSession:

@@ -30,7 +30,7 @@ import numpy as np
 from repro.mma.baselines import distance_penalty, heading_cos as _heading_cos, segment_feature_matrix
 from repro.mma.features import point_features
 from repro.mma.infer import match_and_stitch
-from repro.nn.autodiff import Tensor, concat, mean_of, sigmoid, softmax
+from repro.nn.autodiff import Tensor, concat, like, mean, mean_of, sigmoid, softmax
 from repro.nn.gru import BiGRU, GRU, GRUCell
 from repro.nn.layers import Linear, MLP, Module
 from repro.nn.optim import fit
@@ -178,7 +178,7 @@ class _FullVocabDecoder(Module):
         # dominates until the learned scores become informative
         self.gain = Tensor(np.array([0.3]), requires_grad=True)
 
-    def step(self, E: Tensor, b: Tensor, h: Tensor, ctx: Tensor, penalty: np.ndarray | None = None):
+    def step(self, E, b, h, ctx, penalty: np.ndarray):
         """One tick: returns (logits over n segments, query state).
 
         ``penalty`` is MTrajRec's road-constraint layer expressed as a soft
@@ -186,28 +186,13 @@ class _FullVocabDecoder(Module):
         masks candidates to the region around the interpolated point)."""
         hc = concat([h, ctx], axis=-1)
         q = self.q(hc)  # (d,)
-        logits = (E @ q) * self.gain + b
-        if penalty is not None:
-            logits = logits + Tensor(penalty)
-        return logits, hc
+        return (E @ q) * like(self.gain, q) + b + penalty, hc
 
-    def ratio(self, hc: Tensor, e_k: Tensor) -> Tensor:
-        return self.reg(concat([self.q(hc), e_k], axis=-1)).sigmoid()
+    def ratio(self, hc, e_k):
+        return sigmoid(self.reg(concat([self.q(hc), e_k], axis=-1)))
 
-    def advance(self, h: Tensor, e_prev: Tensor, r_prev: float, tau: float) -> Tensor:
-        inp = concat([e_prev, Tensor(np.array([r_prev, tau]))], axis=-1)
-        return self.gru(inp, h)
-
-    # forward-only forms of the three above, for inference
-    def step_np(self, E: np.ndarray, b: np.ndarray, h: np.ndarray, ctx: np.ndarray, penalty: np.ndarray):
-        hc = np.concatenate([h, ctx], axis=-1)
-        return (E @ self.q.forward_np(hc)) * self.gain.data + b + penalty, hc
-
-    def ratio_np(self, hc: np.ndarray, e_k: np.ndarray) -> np.ndarray:
-        return sigmoid(self.reg.forward_np(np.concatenate([self.q.forward_np(hc), e_k], axis=-1)))
-
-    def advance_np(self, h: np.ndarray, e_prev: np.ndarray, r_prev: float, tau: float) -> np.ndarray:
-        return self.gru.forward_np(np.concatenate([e_prev, np.array([r_prev, tau])], axis=-1), h)
+    def advance(self, h, e_prev, r_prev: float, tau: float):
+        return self.gru(concat([e_prev, np.array([r_prev, tau])], axis=-1), h)
 
 
 class _Seq2SegRecoverer(_LearnedRecoverer):
@@ -238,30 +223,27 @@ class _Seq2SegRecoverer(_LearnedRecoverer):
     def _build_encoder(self, rng):
         self.enc = GRU(self.d, self.d, rng)
 
-    def _encode(self, X: np.ndarray, xs, ys):
-        states = self.enc(self.inp(Tensor(X)))
-        return states, states.mean(axis=0)
+    def _encode(self, X, xs, ys):
+        states = self.enc(self.inp(X))
+        return states, mean(states, axis=0)
 
     # -- shared machinery --------------------------------------------------
-    def _ctx(self, enc_states: Tensor, h: Tensor) -> Tensor:
+    def _ctx(self, enc_states, h):
         if not self.use_step_attention or enc_states.shape[0] == 1:
-            return enc_states.mean(axis=0)
-        a = (enc_states @ h).softmax(axis=-1)
-        return a @ enc_states
-
-    def _ctx_np(self, enc_states: np.ndarray, h: np.ndarray) -> np.ndarray:
-        if not self.use_step_attention or enc_states.shape[0] == 1:
-            return enc_states.sum(axis=0) * (1.0 / enc_states.shape[0])
+            return mean(enc_states, axis=0)
         return softmax(enc_states @ h, axis=-1) @ enc_states
 
     def _rollout(self, xs, ys, ts, t0, idxs, n_ticks, teacher=None, lam: float = 2.0):
         """Run the decoder over all ticks.
 
-        With ``teacher=(gt_seg, gt_ratio)`` returns the training loss
-        tensor; otherwise returns predicted ``(segs, ratios)``, decoded
-        forward only on plain arrays (the encoder still builds its graph).
+        With ``teacher=(gt_seg, gt_ratio)`` the point features enter as a
+        Tensor and it returns the training loss tensor; otherwise they stay
+        arrays, it builds no graph, and it returns the greedy
+        ``(segs, ratios)``.
         """
         X = self._obs_X(xs, ys, ts, t0, n_ticks)
+        if teacher is not None:
+            X = Tensor(X)
         enc_states, h = self._encode(X, xs, ys)
         taus = (np.arange(n_ticks) * self.eps) / max((n_ticks - 1) * self.eps, 1e-9)
         # MTrajRec-style constraint region around the time-interpolated
@@ -272,37 +254,27 @@ class _Seq2SegRecoverer(_LearnedRecoverer):
         by = np.interp(np.arange(n_ticks), np.asarray(idxs, dtype=float), np.asarray(ys))
         pen = distance_penalty(self.net, bx, by, delta=150.0)
         pen = pen + 4.0 * _heading_cos(self.net, bx, by)
-        if teacher is None:
-            return self._decode(enc_states.data, h.data, pen, taus)
-        E = self.dec.proj(Tensor(self.seg_feats))  # (n, d)
-        b = self.dec.bias(Tensor(self.seg_feats)).reshape(len(self.seg_feats))
+        F = like(self.seg_feats, X)
+        E = self.dec.proj(F)  # (n, d)
+        b = self.dec.bias(F).reshape(len(self.seg_feats))
+        segs = np.zeros(n_ticks, dtype=np.int64)
+        ratios = np.zeros(n_ticks)
         losses = []
         for tick in range(n_ticks):
-            ctx = self._ctx(enc_states, h)
-            logits, hc = self.dec.step(E, b, h, ctx, pen[tick])
-            k = int(teacher[0][tick])
-            r = float(teacher[1][tick])
-            ce = -logits.log_softmax(axis=-1)[k]
-            diff = self.dec.ratio(hc, E[k]) - Tensor(np.array([r]))
-            mae = (diff.relu() + (-diff).relu()).reshape(())
-            losses.append(ce + mae * lam)
+            logits, hc = self.dec.step(E, b, h, self._ctx(enc_states, h), pen[tick])
+            if teacher is None:
+                k = int(np.argmax(logits))
+                r = float(self.dec.ratio(hc, E[k])[0])
+                segs[tick], ratios[tick] = k, r
+            else:
+                k = int(teacher[0][tick])
+                r = float(teacher[1][tick])
+                ce = -logits.log_softmax(axis=-1)[k]
+                diff = self.dec.ratio(hc, E[k]) - Tensor(np.array([r]))
+                mae = (diff.relu() + (-diff).relu()).reshape(())
+                losses.append(ce + mae * lam)
             h = self.dec.advance(h, E[k], r, float(taus[tick]))
-        return mean_of(losses)
-
-    def _decode(self, enc_states: np.ndarray, h: np.ndarray, pen: np.ndarray, taus: np.ndarray):
-        """Greedy decode of every tick, forward only."""
-        E = self.dec.proj.forward_np(self.seg_feats)  # (n, d)
-        b = self.dec.bias.forward_np(self.seg_feats).reshape(len(self.seg_feats))
-        segs = np.zeros(len(taus), dtype=np.int64)
-        ratios = np.zeros(len(taus))
-        for tick in range(len(taus)):
-            logits, hc = self.dec.step_np(E, b, h, self._ctx_np(enc_states, h), pen[tick])
-            k = int(np.argmax(logits))
-            r = float(self.dec.ratio_np(hc, E[k])[0])
-            segs[tick] = k
-            ratios[tick] = r
-            h = self.dec.advance_np(h, E[k], r, float(taus[tick]))
-        return segs, ratios
+        return mean_of(losses) if teacher is not None else (segs, ratios)
 
     # -- public API --------------------------------------------------------
     def recover(self, xs, ys, ts, t0, idxs, n_ticks):
@@ -333,8 +305,8 @@ class RNTrajRecRecoverer(_Seq2SegRecoverer):
 
     def _encode(self, X, xs, ys):
         sub = subgraph_means(self.index, self.n2v, xs, ys, self.k_c)
-        states = self.enc(self.inp(Tensor(np.concatenate([X, sub], axis=1))))
-        return states, states.mean(axis=0)
+        states = self.enc(self.inp(concat([X, sub], axis=1)))
+        return states, mean(states, axis=0)
 
 
 class MMSTGEDRecoverer(RNTrajRecRecoverer):
@@ -361,9 +333,9 @@ class MMSTGEDRecoverer(RNTrajRecRecoverer):
                 len(xs) / 50.0,
             ]
         )
-        feats = np.concatenate([X, sub, np.broadcast_to(macro, (len(X), 4))], axis=1)
-        states = self.enc(self.inp(Tensor(feats)))
-        return states, states.mean(axis=0)
+        feats = concat([X, sub, np.broadcast_to(macro, (len(xs), 4))], axis=1)
+        states = self.enc(self.inp(feats))
+        return states, mean(states, axis=0)
 
 
 class _PooledRecoverer(_Seq2SegRecoverer):
@@ -377,7 +349,7 @@ class _PooledRecoverer(_Seq2SegRecoverer):
         pooled = self._pool(X, xs, ys).reshape(1, self.d)
         return pooled, pooled.reshape(self.d)
 
-    def _pool(self, X, xs, ys) -> Tensor:
+    def _pool(self, X, xs, ys):
         raise NotImplementedError
 
 
@@ -397,9 +369,8 @@ class TrajGATDecRecoverer(_PooledRecoverer):
         self.pool = MLP([self.d, self.d, 1], rng)  # attention scorer
 
     def _pool(self, X, xs, ys):
-        z = self.enc(Tensor(subgraph_means(self.index, self.n2v, xs, ys, self.k_c)))  # (ℓ, d)
-        a = self.pool(z).reshape(len(xs)).softmax(axis=-1)
-        return a @ z
+        z = self.enc(like(subgraph_means(self.index, self.n2v, xs, ys, self.k_c), X))  # (ℓ, d)
+        return softmax(self.pool(z).reshape(len(xs)), axis=-1) @ z
 
 
 class TrajCLDecRecoverer(_PooledRecoverer):
@@ -423,8 +394,9 @@ class TrajCLDecRecoverer(_PooledRecoverer):
                 np.abs(np.diff(ys)).sum() / span,
             ]
         )
-        feat = np.concatenate([X.mean(axis=0), disp])
-        return self.enc(Tensor(feat))
+        # X's plain array: its statistics take numpy's mean, in either mode
+        feat = np.concatenate([like(X, None).mean(axis=0), disp])
+        return self.enc(like(feat, X))
 
 
 class ST2VecDecRecoverer(_PooledRecoverer):
@@ -437,8 +409,9 @@ class ST2VecDecRecoverer(_PooledRecoverer):
         self.enc2 = MLP([2, self.d, self.d - self.d // 2], rng)  # temporal
 
     def _pool(self, X, xs, ys):
-        sp = self.enc(Tensor(X[:, :2].mean(axis=0)))
-        tm = self.enc2(Tensor(np.array([X[:, 2].mean(), X[:, 3].mean()])))
+        x = like(X, None)  # X's plain array: its statistics take numpy's mean, in either mode
+        sp = self.enc(like(x[:, :2].mean(axis=0), X))
+        tm = self.enc2(like(np.array([x[:, 2].mean(), x[:, 3].mean()]), X))
         return concat([sp, tm], axis=-1)
 
 
@@ -490,16 +463,19 @@ class _FreeSpaceRecoverer(_LearnedRecoverer):
         return tr.tx, tr.ty
 
     def _loss(self, d):
+        xs, ys, ts, t0, idxs, n_ticks = d[:6]
         span = max(self.norm["x1"] - self.norm["x0"], 1e-9)
-        pred = self._coords(*d[:6])
+        pred = self._coords(Tensor(self._obs_X(xs, ys, ts, t0, n_ticks)), xs, ys, idxs, n_ticks)
         target = Tensor(np.stack(d[6:], axis=1) / span)
         return ((pred * (1.0 / span) - target) ** 2).mean()
 
-    def _coords(self, xs, ys, ts, t0, idxs, n_ticks) -> Tensor:
+    def _coords(self, X, xs, ys, idxs, n_ticks):
+        """(ℓ_ε, 2) coordinates from point features ``X`` (a Tensor builds
+        the graph, an array builds none)."""
         raise NotImplementedError
 
     def recover(self, xs, ys, ts, t0, idxs, n_ticks):
-        coords = self._coords(xs, ys, ts, t0, idxs, n_ticks).data
+        coords = self._coords(self._obs_X(xs, ys, ts, t0, n_ticks), xs, ys, idxs, n_ticks)
         px, py = self._post(coords[:, 0], coords[:, 1])
         return snap_with_direction(self.net, self.index, px, py)
 
@@ -518,16 +494,15 @@ class DHTRRecoverer(_FreeSpaceRecoverer):
         self.enc = BiGRU(self.d, self.d // 2, rng)
         self.head = MLP([self.d + 1, self.d, 2], rng)
 
-    def _coords(self, xs, ys, ts, t0, idxs, n_ticks) -> Tensor:
-        states = self.enc(self.inp(Tensor(self._obs_X(xs, ys, ts, t0, n_ticks))))  # (ℓ, d)
+    def _coords(self, X, xs, ys, idxs, n_ticks):
+        states = self.enc(self.inp(X))  # (ℓ, d)
         base_x = np.interp(np.arange(n_ticks), idxs.astype(float), np.asarray(xs))
         base_y = np.interp(np.arange(n_ticks), idxs.astype(float), np.asarray(ys))
-        pooled = states.mean(axis=0)
         taus = (np.arange(n_ticks) / max(n_ticks - 1, 1))[:, None]
-        pe = pooled.reshape(1, self.d) + Tensor(np.zeros((n_ticks, 1)))
-        res = self.head(concat([pe, Tensor(taus)], axis=-1))  # (ℓ_ε, 2)
+        pe = mean(states, axis=0).reshape(1, self.d) + np.zeros((n_ticks, 1))
+        res = self.head(concat([pe, taus], axis=-1))  # (ℓ_ε, 2)
         scale = 0.02 * max(self.norm["x1"] - self.norm["x0"], 1.0)
-        return Tensor(np.stack([base_x, base_y], axis=1)) + res * scale
+        return res * scale + np.stack([base_x, base_y], axis=1)
 
     def _post(self, px, py):
         return _kalman_smooth(px, py, self.eps)
@@ -544,18 +519,18 @@ class TERIRecoverer(_FreeSpaceRecoverer):
         self.enc = TransformerEncoder(self.d, n_layers=2, n_heads=2, rng=rng)
         self.head = MLP([self.d + 1, self.d, 2], rng)
 
-    def _coords(self, xs, ys, ts, t0, idxs, n_ticks) -> Tensor:
+    def _coords(self, X, xs, ys, idxs, n_ticks):
         xs = np.asarray(xs)
         ys = np.asarray(ys)
-        states = self.enc(self.inp(Tensor(self._obs_X(xs, ys, ts, t0, n_ticks))))
+        states = self.enc(self.inp(X))
         # time-difference attention: each tick attends to observed points
         # with weights softmax(-|Δt|/ε̄)
         dt = np.abs(np.arange(n_ticks)[:, None] - idxs[None, :].astype(float))
         W = np.exp(-dt / 2.0)
         W = W / W.sum(axis=1, keepdims=True)
         base = W @ np.stack([xs, ys], axis=1)  # (ℓ_ε, 2)
-        ctx = Tensor(W) @ states  # (ℓ_ε, d)
+        ctx = like(W, states) @ states  # (ℓ_ε, d)
         taus = (np.arange(n_ticks) / max(n_ticks - 1, 1))[:, None]
-        res = self.head(concat([ctx, Tensor(taus)], axis=-1))
+        res = self.head(concat([ctx, taus], axis=-1))
         scale = 0.02 * max(self.norm["x1"] - self.norm["x0"], 1.0)
-        return Tensor(base) + res * scale
+        return res * scale + base

@@ -17,8 +17,10 @@ their matched segment/ratio) so the state tracks progress along the route.
 
 Training (Eqs. 19-21) teacher-forces the GRU and combines per-tick BCE over
 route segments with λ-weighted MAE on ratios, through the autodiff graph.
-Inference (``encode``, ``recover``) runs the same ops forward only on plain
-arrays, so it builds no graph and gives bit-identical outputs.
+``loss`` and ``recover`` call the same ``encode``, ``_step_scores``,
+``_step_ratio`` and GRU step; ``loss`` feeds them Tensors, which build the
+graph, and ``recover`` plain arrays, which build none. Both modes run the
+same ops, so their outputs are bit-identical.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.autodiff import Tensor, concat, mean_of, softmax
+from repro.nn.autodiff import Tensor, concat, mean, mean_of, softmax, tanh
 from repro.nn.gru import GRUCell
 from repro.nn.layers import Embedding, Linear, MLP, Module
 from repro.nn.transformer import TransformerEncoder
@@ -93,28 +95,17 @@ class TRMMAModel(Module):
         self.reg = MLP([2 * d_h + 4, d_h, 1], rng)  # Eq.(18) W10/W11 (+ scalars)
 
     # -- encoding ---------------------------------------------------------
-    def _encode_graph(self, s: TrmmaSample) -> Tensor:
-        """DualFormer encoding H (Eqs. 11-14) as an autodiff graph, for
-        training."""
-        t0 = concat([Tensor(s.obs_feats), self.emb_t(s.obs_seg)], axis=-1)
-        T = self.trans_t(self.fc_t(t0))  # (ℓ, d_h)
-        r1 = concat([Tensor(s.route_feats), self.emb_r(s.route)], axis=-1)
-        R = self.trans_r(self.fc_r(r1))  # (ℓ_R, d_h)
-        if not self.use_dualformer:
-            return R
-        B = (R @ T.transpose()).softmax(axis=-1)  # Eq.(13), rows = segments
-        return R + B @ T  # Eq.(14)
+    def encode(self, s: TrmmaSample, X=None):
+        """DualFormer encoding H (Eqs. 11-14), shape (ℓ_R, d_h).
 
-    def encode(self, s: TrmmaSample) -> np.ndarray:
-        """DualFormer encoding H (Eqs. 11-14), forward only; equals
-        ``_encode_graph(s).data`` bit for bit."""
-        t0 = np.concatenate([s.obs_feats, self.emb_t.forward_np(s.obs_seg)], axis=-1)
-        T = self.trans_t.forward_np(self.fc_t.forward_np(t0))
-        r1 = np.concatenate([s.route_feats, self.emb_r.forward_np(s.route)], axis=-1)
-        R = self.trans_r.forward_np(self.fc_r.forward_np(r1))
+        ``X`` is ``s.obs_feats`` (the default, which builds no graph) or a
+        :class:`Tensor` of it, which builds the autodiff graph."""
+        X = s.obs_feats if X is None else X
+        T = self.trans_t(self.fc_t(concat([X, self.emb_t(s.obs_seg, X)], axis=-1)))  # (ℓ, d_h)
+        R = self.trans_r(self.fc_r(concat([s.route_feats, self.emb_r(s.route, X)], axis=-1)))  # (ℓ_R, d_h)
         if not self.use_dualformer:
             return R
-        return R + softmax(R @ T.transpose(), axis=-1) @ T
+        return R + softmax(R @ T.transpose(), axis=-1) @ T  # Eqs.(13)-(14), rows = segments
 
     # -- decoding ---------------------------------------------------------
     @staticmethod
@@ -156,35 +147,28 @@ class TRMMAModel(Module):
         inside_tau = ((r_tau >= 0) & (r_tau < 1)).astype(np.float64)
         return np.stack([r_exp, r_tau, inside, inside_tau], axis=1)
 
-    def _step_scores(self, H: Tensor, h: Tensor, s: TrmmaSample, tau: float, exp_off: float) -> Tensor:
-        """Eq.(15): w_k for every route segment, shape (ℓ_R,)."""
+    def _step_scores(self, H, h, feats: np.ndarray):
+        """Eq.(15): w_k for every route segment, shape (ℓ_R,); ``feats`` is
+        the tick's :meth:`_decode_feats`."""
         lr = H.shape[0]
-        he = h.reshape(1, self.d_h) + Tensor(np.zeros((lr, 1)))
-        extra = Tensor(self._decode_feats(s, tau, exp_off))
-        return self.cls(concat([H, he, H * he, extra], axis=-1)).reshape(lr)
+        he = h.reshape(1, self.d_h) + np.zeros((lr, 1))
+        return self.cls(concat([H, he, H * he, feats], axis=-1)).reshape(lr)
 
-    def _step_ratio(
-        self, H: Tensor, h: Tensor, w: Tensor, s: TrmmaSample, tau: float, exp_off: float, k: int
-    ) -> Tensor:
-        """Eq.(18): attention-pooled ratio regression, scalar tensor.
+    def _step_ratio(self, H, h, w, feats: np.ndarray, exp_off: float, k: int):
+        """Eq.(18): attention-pooled ratio regression, shape (1,).
 
         Predicts a bounded *correction* around the historical-speed
         interpolation prior of the target segment ``k`` (the prior is what
         a perfect constant-progress model would answer; the head shifts it
         using the state and the attended encoding)."""
-        psi = w.softmax(axis=-1)
-        ctx = psi.reshape(1, -1) @ H  # (1, d_h)
-        feats = self._decode_feats(s, tau, exp_off)
-        soft_geo = psi.reshape(1, -1) @ Tensor(feats[:, :2])  # (1, 2)
+        psi = softmax(w, axis=-1).reshape(1, -1)
         prior = float(np.clip(feats[k, 0], 0.0, 1.0))
-        tail = Tensor(np.array([[prior, exp_off]]))
-        delta = self.reg(
-            concat([h.reshape(1, self.d_h), ctx, soft_geo, tail], axis=-1)
-        ).reshape(1).tanh()
+        z = concat([h.reshape(1, self.d_h), psi @ H, psi @ feats[:, :2], np.array([[prior, exp_off]])], axis=-1)
+        delta = tanh(self.reg(z).reshape(1))
         return (delta * 0.5 + prior).clip(0.0, 1.0 - 1e-6)
 
-    def _gru_in(self, H: Tensor, k: int, ratio: float, tau: float) -> Tensor:
-        return concat([H[k], Tensor(np.array([ratio, tau]))], axis=-1)
+    def _gru_in(self, H, k: int, ratio: float, tau: float):
+        return concat([H[k], np.array([ratio, tau])], axis=-1)
 
     # -- training loss ----------------------------------------------------
     def loss(self, s: TrmmaSample, lam: float = 10.0):
@@ -193,8 +177,8 @@ class TRMMAModel(Module):
         Returns ``(loss_tensor, n_missing_ticks)``; callers weight by tick
         count when batching trajectories.
         """
-        H = self._encode_graph(s)
-        h = H.mean(axis=0)  # Alg.2 line 6
+        H = self.encode(s, Tensor(s.obs_feats))
+        h = mean(H, axis=0)  # Alg.2 line 6
         obs_by_tick = {int(t): i for i, t in enumerate(s.obs_tick)}
         exp_offs = self.expected_offsets(s)
         terms = []
@@ -210,7 +194,9 @@ class TRMMAModel(Module):
             if k_gt < 0:
                 continue
             tau = float(s.tick_tau[tick])
-            w = self._step_scores(H, h, s, tau, float(exp_offs[tick]))
+            exp_off = float(exp_offs[tick])
+            feats = self._decode_feats(s, tau, exp_off)
+            w = self._step_scores(H, h, feats)
             # BCE over the route's segments (Eq. 19), class-balanced: the
             # single positive among ℓ_R segments is up-weighted so it is
             # not drowned by the negatives at small ℓ_R-to-data ratios.
@@ -223,7 +209,7 @@ class TRMMAModel(Module):
             bce = -(
                 Tensor(y * pos_w) * (p + eps).log() + Tensor(1 - y) * (1 - p + eps).log()
             ).mean()
-            r = self._step_ratio(H, h, w, s, tau, float(exp_offs[tick]), k_gt)
+            r = self._step_ratio(H, h, w, feats, exp_off, k_gt)
             diff = r - Tensor(np.array([s.tick_ratio[tick]]))
             mae = (diff.relu() + (-diff).relu()).reshape(())  # |diff|, Eq.(20)
             terms.append(bce + mae * lam)
@@ -239,12 +225,11 @@ class TRMMAModel(Module):
 
         Observed ticks carry their matched point (Alg. 2 lines 2-4);
         missing ticks are decoded sequentially under the route-order
-        constraint (Eq. 17). Forward only: the same ops as ``loss``'s
-        ``_step_scores`` / ``_step_ratio`` / GRU step on plain arrays.
+        constraint (Eq. 17). Runs ``loss``'s steps on plain arrays, so it
+        builds no graph.
         """
         H = self.encode(s)
-        lr, d = H.shape
-        h = H.sum(axis=0) * (1.0 / lr)  # Alg.2 line 6 (mean)
+        h = mean(H, axis=0)  # Alg.2 line 6
         obs_by_tick = {int(t): i for i, t in enumerate(s.obs_tick)}
         exp_offs = self.expected_offsets(s)
         segs = np.zeros(s.n_ticks, dtype=np.int64)
@@ -259,22 +244,13 @@ class TRMMAModel(Module):
             else:
                 exp_off = float(exp_offs[tick])
                 feats = self._decode_feats(s, tau, exp_off)
-                # Eq.(15)
-                he = h.reshape(1, d) + np.zeros((lr, 1))
-                w = self.cls.forward_np(np.concatenate([H, he, H * he, feats], axis=-1)).reshape(lr)
+                w = self._step_scores(H, h, feats)
                 wd = w.copy()
                 wd[:k_prev] = -np.inf  # Eq.(17): not before a_{j-1}.e
                 k = int(np.argmax(wd))
-                # Eq.(18)
-                psi = softmax(w, axis=-1).reshape(1, -1)
-                prior = float(np.clip(feats[k, 0], 0.0, 1.0))
-                z = np.concatenate(
-                    [h.reshape(1, d), psi @ H, psi @ feats[:, :2], np.array([[prior, exp_off]])], axis=-1
-                )
-                delta = np.tanh(self.reg.forward_np(z).reshape(1))
-                r = float(np.clip(delta * 0.5 + prior, 0.0, 1.0 - 1e-6)[0])
+                r = float(self._step_ratio(H, h, w, feats, exp_off, k)[0])
             segs[tick] = s.route[k]
             ratios[tick] = r
             k_prev = max(k_prev, k)
-            h = self.gru.forward_np(np.concatenate([H[k], np.array([r, tau])], axis=-1), h)
+            h = self.gru(self._gru_in(H, k, r, tau), h)
         return segs, ratios

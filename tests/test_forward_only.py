@@ -1,14 +1,37 @@
-"""Inference builds no autodiff graph: MMA matching, TRMMA recovery and the
-all-segment foil's decode run on plain arrays (``forward_np``)."""
+"""Inference builds no autodiff graph: every Table III recoverer and every
+Table V matcher runs ``match``/``recover`` on plain arrays, encoders
+included, so not one ``Tensor`` is constructed."""
 import numpy as np
 import pytest
 
-from repro.mma.baselines import MMAMatcher
+from repro.mma.baselines import (
+    DeepMMMatcher,
+    GraphMMMatcher,
+    HMMMatcher,
+    LHMMMatcher,
+    MMAMatcher,
+    NearestMatcher,
+    RNTrajRecRouteMatcher,
+)
+from repro.mma.features import N_CAND_FEATS
 from repro.mma.model import MMAModel
 from repro.nn.autodiff import Tensor
-from repro.trmma.baselines import RNTrajRecRecoverer
+from repro.trmma.baselines import (
+    DHTRRecoverer,
+    LinearRecoverer,
+    MMSTGEDRecoverer,
+    MTrajRecRecoverer,
+    RNTrajRecRecoverer,
+    ST2VecDecRecoverer,
+    TERIRecoverer,
+    TrajCLDecRecoverer,
+    TrajGATDecRecoverer,
+)
 from repro.trmma.infer import TRMMARecoverer
 from repro.trmma.model import TRMMAModel
+
+LEARNED_RECOVERERS = (DHTRRecoverer, TERIRecoverer, TrajGATDecRecoverer, TrajCLDecRecoverer, ST2VecDecRecoverer,
+                      MTrajRecRecoverer, MMSTGEDRecoverer, RNTrajRecRecoverer)
 
 
 @pytest.fixture
@@ -39,10 +62,27 @@ def matcher(net_small, index_small, pt_norm):
     return MMAMatcher(net_small, index_small, pt_norm, model)
 
 
+@pytest.fixture(scope="module")
+def table5_baselines(net_small, index_small, pt_norm):
+    args = (net_small, index_small, pt_norm)
+    graphmm = GraphMMMatcher(*args, d=12)
+    graphmm.emb = graphmm._propagated()
+    return [NearestMatcher(*args), HMMMatcher(*args), LHMMMatcher(*args, np.linspace(-1, 1, N_CAND_FEATS)),
+            RNTrajRecRouteMatcher(*args, d=12), DeepMMMatcher(*args, d=12), graphmm]
+
+
 def test_mma_match_builds_no_tensor(matcher, inputs, tensors_made):
     for xs, ys, ts, t0, _, _ in inputs:
         matcher.match(xs, ys, ts, t0)
     assert not tensors_made
+
+
+def test_every_table5_matcher_builds_no_tensor(table5_baselines, inputs, tensors_made):
+    """The Table V baselines; MMA's own matcher is checked above."""
+    for m in table5_baselines:
+        for xs, ys, ts, t0, _, _ in inputs:
+            assert len(m.match(xs, ys, ts, t0)) == len(xs)
+        assert not tensors_made, m.name
 
 
 def test_trmma_recover_builds_no_tensor(net_small, pt_norm, matcher, inputs, tensors_made):
@@ -55,22 +95,20 @@ def test_trmma_recover_builds_no_tensor(net_small, pt_norm, matcher, inputs, ten
     assert not tensors_made
 
 
-def test_foil_decode_builds_no_tensor(net_small, index_small, pt_norm, inputs, tensors_made, monkeypatch):
-    """The all-segment foil's encoder may build its graph; every tensor of
-    ``recover`` must come from there, none from the per-tick decode."""
-    rec = RNTrajRecRecoverer(net_small, index_small, pt_norm, 15.0, d=12, seed=0)
-    tensors_made.clear()  # the parameters
-    in_encode = []
-    encode = RNTrajRecRecoverer._encode
-
-    def counted_encode(self, *args):
-        before = len(tensors_made)
-        out = encode(self, *args)
-        in_encode.append(len(tensors_made) - before)
-        return out
-
-    monkeypatch.setattr(RNTrajRecRecoverer, "_encode", counted_encode)
+def test_linear_recover_builds_no_tensor(net_small, index_small, pt_norm, inputs, tensors_made):
+    rec = LinearRecoverer(HMMMatcher(net_small, index_small, pt_norm), 15.0)
     for args in inputs:
         rec.recover(*args)
-    assert len(in_encode) == len(inputs)
-    assert len(tensors_made) == sum(in_encode)
+    assert not tensors_made
+
+
+def test_foil_decode_builds_no_tensor(net_small, index_small, pt_norm, inputs, tensors_made):
+    """Every learned Table III baseline: the all-segment foils' encoders
+    and decode, and the free-space methods' coordinate heads."""
+    for cls in LEARNED_RECOVERERS:
+        rec = cls(net_small, index_small, pt_norm, 15.0, d=12, seed=0)
+        tensors_made.clear()  # the parameters
+        for args in inputs:
+            segs, ratios = rec.recover(*args)
+            assert len(segs) == len(ratios) == args[-1]
+        assert not tensors_made, cls.name

@@ -82,10 +82,26 @@ def test_gru_deterministic():
 
 
 def test_cell_forward_np_matches_autodiff_exactly():
+    """A step on plain arrays equals the graph's step bit for bit."""
     cell = GRUCell(4, 6, np.random.default_rng(7))
     h = np.zeros(6)
     for _ in range(5):  # a few chained steps, as a decoder runs them
         x = RNG.normal(size=(4,)) * 3.0
-        h_np = cell.forward_np(x, h)
+        h_np = cell(x, h)
+        assert type(h_np) is np.ndarray
         assert np.array_equal(h_np, cell(Tensor(x), Tensor(h)).data)
         h = h_np
+
+
+def test_gru_and_bigru_arrays_match_graph_exactly():
+    x = RNG.normal(size=(6, 3)) * 3.0
+    h0 = RNG.normal(size=(5,))
+    gru = GRU(3, 5, np.random.default_rng(8))
+    for seed in (None, h0):
+        out = gru(x, h0=seed)
+        assert type(out) is np.ndarray
+        assert np.array_equal(out, gru(Tensor(x), h0=seed).data)
+    bigru = BiGRU(3, 4, np.random.default_rng(9))
+    out = bigru(x)
+    assert type(out) is np.ndarray and out.shape == (6, 8)
+    assert np.array_equal(out, bigru(Tensor(x)).data)

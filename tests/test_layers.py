@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.autodiff import Tensor, numeric_grad, relu, sigmoid, softmax
+from repro.nn.autodiff import Tensor, concat, mean, numeric_grad, relu, sigmoid, softmax, stack, tanh
 from repro.nn.layers import Embedding, LayerNorm, Linear, MLP, Module, glorot
 from repro.nn.optim import Adam, fit
 
@@ -63,15 +63,16 @@ def test_layernorm_gradients_flow():
 def test_embedding_lookup_and_init():
     init = RNG.normal(size=(10, 4))
     emb = Embedding(10, 4, np.random.default_rng(0), init=init)
-    out = emb([2, 2, 7])
+    out = emb([2, 2, 7], Tensor(np.zeros(1)))
     assert np.allclose(out.data, init[[2, 2, 7]])
+    assert np.array_equal(emb([2, 2, 7], np.zeros(1)), init[[2, 2, 7]])
     with pytest.raises(ValueError):
         Embedding(10, 4, np.random.default_rng(0), init=np.zeros((3, 3)))
 
 
 def test_embedding_gradient_accumulates_on_repeats():
     emb = Embedding(5, 3, np.random.default_rng(0))
-    emb([1, 1, 3]).sum().backward()
+    emb([1, 1, 3], Tensor(np.zeros(1))).sum().backward()
     assert np.allclose(emb.W.grad[1], 2.0)
     assert np.allclose(emb.W.grad[3], 1.0)
     assert np.allclose(emb.W.grad[0], 0.0)
@@ -212,14 +213,18 @@ def test_module_pickle_roundtrip():
 
 @pytest.mark.parametrize("shape", [(6,), (5, 6), (3, 4, 6)])
 def test_forward_np_matches_autodiff_exactly(shape):
-    """The forward-only pass repeats the graph's ops in order, so the
-    outputs are equal bit for bit, whatever the input's rank."""
+    """``forward`` on a plain array returns a plain array equal bit for bit
+    to its graph output on a Tensor of the same array, whatever the rank."""
     rng = np.random.default_rng(3)
     x = RNG.normal(size=shape) * 4.0
     for layer in (Linear(6, 4, rng), Linear(6, 4, rng, bias=False), MLP([6, 8, 8, 3], rng), LayerNorm(6)):
-        assert np.array_equal(layer.forward_np(x), layer(Tensor(x)).data)
+        out = layer(x)
+        assert type(out) is np.ndarray
+        assert np.array_equal(out, layer(Tensor(x)).data)
     emb = Embedding(10, 4, rng)
-    assert np.array_equal(emb.forward_np([3, 3, 9]), emb([3, 3, 9]).data)
+    out = emb([3, 3, 9], x)
+    assert type(out) is np.ndarray
+    assert np.array_equal(out, emb([3, 3, 9], Tensor(x)).data)
 
 
 def test_array_ops_match_tensor_ops_exactly():
@@ -227,5 +232,12 @@ def test_array_ops_match_tensor_ops_exactly():
     x[0, 0] = 900.0  # past both clips
     assert np.array_equal(relu(x), Tensor(x).relu().data)
     assert np.array_equal(sigmoid(x), Tensor(x).sigmoid().data)
+    assert np.array_equal(tanh(x), Tensor(x).tanh().data)
     for axis in (-1, 0):
         assert np.array_equal(softmax(x, axis=axis), Tensor(x).softmax(axis=axis).data)
+        assert np.array_equal(mean(x, axis=axis), Tensor(x).mean(axis=axis).data)
+    assert np.array_equal(mean(x), Tensor(x).mean().data)
+    for op in (concat, stack):
+        assert np.array_equal(op([x, 2 * x], axis=0), op([Tensor(x), 2 * x], axis=0).data)
+    for f in (relu, sigmoid, tanh, softmax, lambda a: mean(a, axis=0), lambda a: concat([a, a]), lambda a: stack([a, a])):
+        assert type(f(x)) is np.ndarray and type(f(Tensor(x))) is Tensor

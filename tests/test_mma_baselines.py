@@ -11,9 +11,11 @@ from repro.mma.baselines import (
     RNTrajRecRouteMatcher,
     _viterbi,
     distance_penalty,
+    matcher_locality_prior,
     segment_feature_matrix,
 )
-from repro.mma.features import N_CAND_FEATS
+from repro.mma.features import N_CAND_FEATS, point_features
+from repro.nn.autodiff import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +162,15 @@ def test_matchers_pickle(net_small, index_small, pt_norm):
               LHMMMatcher(net_small, index_small, pt_norm, np.zeros(N_CAND_FEATS))]:
         clone = pickle.loads(pickle.dumps(m))
         assert clone.name == m.name
+
+
+@pytest.mark.parametrize("cls", (DeepMMMatcher, RNTrajRecRouteMatcher), ids=lambda c: c.name)
+def test_full_vocab_logits_equal_autodiff_reference(net_small, index_small, pt_norm, trajs_small, cls):
+    m = cls(net_small, index_small, pt_norm, d=12, seed=1)
+    for tr in trajs_small[:3]:
+        o = np.where(tr.observed)[0]
+        X = point_features(tr.x[o], tr.y[o], tr.t[o], tr.t0, pt_norm)
+        pen = matcher_locality_prior(net_small, tr.x[o], tr.y[o])
+        out = m.model.logits(X, pen)
+        assert type(out) is np.ndarray
+        assert np.array_equal(out, m.model.logits(Tensor(X), pen).data)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.mma.features import build_mma_sample
 from repro.mma.model import MMAModel
+from repro.nn.autodiff import Tensor
 from repro.nn.optim import Adam
 
 
@@ -23,7 +24,7 @@ def model(net_small):
 
 
 def test_forward_shape(model, sample):
-    logits = model.forward(sample)
+    logits = model.forward(sample, Tensor(sample.X))
     assert logits.shape == sample.cand.shape
 
 
@@ -33,7 +34,7 @@ def test_masked_slots_are_killed(net_small, index_small, trajs_small, pt_norm):
     s = build_mma_sample(net_small, index_small, tr.x[o], tr.y[o], tr.t[o], tr.t0,
                         pt_norm, true_seg=tr.seg[o], k_c=net_small.n_segments + 5)
     m = MMAModel(net_small.n_segments, d0=16, d2=16, seed=0)
-    logits = m.forward(s).data
+    logits = m.forward(s, s.X)
     assert (logits[~s.mask] < -1e8).all()
 
 
@@ -77,21 +78,21 @@ def test_n2v_init_used(net_small):
 
 
 def test_state_roundtrip_changes_nothing(model, sample):
-    out1 = model.forward(sample).data
+    out1 = model.forward(sample, sample.X)
     state = model.state_dict()
     model.load_state_dict(state)
-    assert np.allclose(model.forward(sample).data, out1)
+    assert np.allclose(model.forward(sample, sample.X), out1)
 
 
 def test_model_pickles_for_broadcast(model, sample):
     clone = pickle.loads(pickle.dumps(model))
-    assert np.allclose(clone.forward(sample).data, model.forward(sample).data)
+    assert np.allclose(clone.forward(sample, sample.X), model.forward(sample, sample.X))
 
 
 def test_deterministic_in_seed(net_small, sample):
     a = MMAModel(net_small.n_segments, d0=16, d2=16, seed=5)
     b = MMAModel(net_small.n_segments, d0=16, d2=16, seed=5)
-    assert np.allclose(a.forward(sample).data, b.forward(sample).data)
+    assert np.allclose(a.forward(sample, sample.X), b.forward(sample, sample.X))
 
 
 @pytest.mark.parametrize("use_context", [True, False])
@@ -100,6 +101,6 @@ def test_predict_equals_autodiff_argmax(net_small, index_small, trajs_small, pt_
     for tr in trajs_small[:4]:
         o = np.where(tr.observed)[0]
         s = build_mma_sample(net_small, index_small, tr.x[o], tr.y[o], tr.t[o], tr.t0, pt_norm)
-        logits = m.forward(s).data
-        assert np.array_equal(m.forward_np(s), logits)
+        logits = m.forward(s, Tensor(s.X)).data
+        assert np.array_equal(m.forward(s, s.X), logits)
         assert np.array_equal(m.predict(s), s.cand[np.arange(len(o)), logits.argmax(axis=1)])

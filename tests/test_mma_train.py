@@ -35,7 +35,7 @@ def test_train_mma_improves_over_init(pt_city):
     def acc(m):
         c = t = 0
         for s in samples:
-            pred = m.forward(s).data.argmax(1)
+            pred = m.forward(s, s.X).argmax(1)
             ok = s.label >= 0
             c += int((pred == s.label)[ok].sum())
             t += int(ok.sum())

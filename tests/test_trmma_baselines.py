@@ -33,7 +33,7 @@ def _recover(rec, tr, obs):
 def rollout_autodiff(rec, xs, ys, ts, t0, idxs, n_ticks):
     """The all-segment greedy decode through the training graph: the
     reference the forward-only decode must equal bit for bit."""
-    X = rec._obs_X(xs, ys, ts, t0, n_ticks)
+    X = Tensor(rec._obs_X(xs, ys, ts, t0, n_ticks))
     enc_states, h = rec._encode(X, xs, ys)
     E = rec.dec.proj(Tensor(rec.seg_feats))
     b = rec.dec.bias(Tensor(rec.seg_feats)).reshape(len(rec.seg_feats))
@@ -160,3 +160,14 @@ def test_seq2seg_recover_equals_autodiff_reference(net_small, index_small, pt_no
         ref_segs, ref_ratios = rollout_autodiff(rec, *args)
         assert np.array_equal(segs, ref_segs)
         assert np.array_equal(ratios, ref_ratios)
+
+
+@pytest.mark.parametrize("cls", (DHTRRecoverer, TERIRecoverer), ids=lambda c: c.name)
+def test_free_space_coords_equal_autodiff_reference(net_small, index_small, pt_norm, trajs_small, cls):
+    rec = cls(net_small, index_small, pt_norm, 15.0, d=12, seed=1)
+    for tr in trajs_small[:4]:
+        obs = np.where(tr.observed)[0]
+        X = rec._obs_X(tr.x[obs], tr.y[obs], tr.t[obs], tr.t0, len(tr.t))
+        coords = rec._coords(X, tr.x[obs], tr.y[obs], obs, len(tr.t))
+        assert type(coords) is np.ndarray
+        assert np.array_equal(coords, rec._coords(Tensor(X), tr.x[obs], tr.y[obs], obs, len(tr.t)).data)

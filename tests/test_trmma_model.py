@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.nn.autodiff import Tensor
 from repro.nn.optim import Adam
 from repro.trmma.features import build_infer_sample, build_train_sample
 from repro.trmma.model import TRMMAModel
@@ -32,7 +33,7 @@ def infer_samples(net_small, trajs_small, pt_norm):
 def recover_autodiff(m: TRMMAModel, s):
     """Algorithm 2 through the training graph: the reference the
     forward-only ``recover`` must equal bit for bit."""
-    H = m._encode_graph(s)
+    H = m.encode(s, Tensor(s.obs_feats))
     h = H.mean(axis=0)
     obs_by_tick = {int(t): i for i, t in enumerate(s.obs_tick)}
     exp_offs = m.expected_offsets(s)
@@ -46,11 +47,13 @@ def recover_autodiff(m: TRMMAModel, s):
             r = float(s.obs_feats[oi, 4])
         else:
             tau = float(s.tick_tau[tick])
-            w = m._step_scores(H, h, s, tau, float(exp_offs[tick]))
+            exp_off = float(exp_offs[tick])
+            feats = m._decode_feats(s, tau, exp_off)
+            w = m._step_scores(H, h, feats)
             wd = w.data.copy()
             wd[:k_prev] = -np.inf
             k = int(np.argmax(wd))
-            r = float(m._step_ratio(H, h, w, s, tau, float(exp_offs[tick]), k).data[0])
+            r = float(m._step_ratio(H, h, w, feats, exp_off, k).data[0])
         segs[tick] = s.route[k]
         ratios[tick] = r
         k_prev = max(k_prev, k)
@@ -172,7 +175,7 @@ def test_expected_offsets_equal_loop_form(sample, infer_samples):
 def test_recover_equals_autodiff_reference(net_small, infer_samples, use_dualformer):
     m = TRMMAModel(net_small.n_segments, d_h=16, n_layers=2, seed=1, use_dualformer=use_dualformer)
     for s in infer_samples:
-        assert np.array_equal(m.encode(s), m._encode_graph(s).data)
+        assert np.array_equal(m.encode(s), m.encode(s, Tensor(s.obs_feats)).data)
         segs, ratios = m.recover(s)
         ref_segs, ref_ratios = recover_autodiff(m, s)
         assert np.array_equal(segs, ref_segs)
