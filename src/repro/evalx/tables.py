@@ -59,17 +59,15 @@ DEFAULT_CITIES = ("pt", "xa", "bj", "cd")
 def historical_costs(city: CityData) -> np.ndarray:
     """DA-lite planner costs from the train split's routes (§VI-A: the same
     route planner is used for every method)."""
-    pdf = city.routes.filter(F.col("split") == "train").toPandas()
-    routes = [g.sort_values("pos")["seg"].to_numpy() for _, g in pdf.groupby("traj_id")]
-    return HistoricalCosts(city.net, routes).cost
+    return HistoricalCosts(city.net, [tr.route for tr in city.trajs("train")]).cost
 
 
-def gt_recovery_frame(city: CityData, split: str = "test"):
-    return city.points.filter(F.col("split") == split).select("traj_id", "idx", "seg", "ratio")
+def gt_recovery_frame(city: CityData):
+    return city.points.filter(F.col("split") == "test").select("traj_id", "idx", "seg", "ratio")
 
 
-def gt_route_frame(city: CityData, split: str = "test"):
-    return city.routes.filter(F.col("split") == split).select("traj_id", "seg")
+def gt_route_frame(city: CityData):
+    return city.routes.filter(F.col("split") == "test").select("traj_id", "seg")
 
 
 def per_city(spark: SparkSession, city_fn, n_traj: int = 700, cities=DEFAULT_CITIES,
@@ -85,8 +83,9 @@ def per_city(spark: SparkSession, city_fn, n_traj: int = 700, cities=DEFAULT_CIT
     return out
 
 
-def table_markdown(data: dict, metrics: list[str], scale: float = 100.0, fmt: str = ".2f") -> str:
-    """Render {city: {row: {metric: val}}} as one markdown table per city."""
+def table_markdown(data: dict, metrics: list[str]) -> str:
+    """Render {city: {row: {metric: val}}} as one markdown table per city:
+    shares as percentages with 2 decimals, MAE/RMSE in metres with 1."""
     out = []
     for cityname, rows in data.items():
         out.append(f"\n**{cityname.upper()}**\n")
@@ -99,9 +98,9 @@ def table_markdown(data: dict, metrics: list[str], scale: float = 100.0, fmt: st
                 if v is None:
                     cells.append("-")
                 elif m in ("mae", "rmse"):
-                    cells.append(f"{v:{fmt.replace('2', '1')}}")
+                    cells.append(f"{v:.1f}")
                 else:
-                    cells.append(f"{v * scale:{fmt}}")
+                    cells.append(f"{v * 100.0:.2f}")
             out.append(f"| {rowname} | " + " | ".join(cells) + " |")
     return "\n".join(out)
 

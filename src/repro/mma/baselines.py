@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mma.features import K_C, build_mma_sample, candidate_features, point_features
+from repro.mma.features import build_mma_sample, candidate_features, point_features
+from repro.mma.train import mma_training_samples
 from repro.nn.autodiff import Tensor, like, mean_of
 from repro.nn.gru import GRU
 from repro.nn.layers import Linear, MLP, Module
@@ -35,8 +36,7 @@ from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.node2vec import node2vec_embeddings
 from repro.roadnet.routing import network_distance_for
 from repro.roadnet.spatial_index import SegmentIndex
-from repro.traj.datasets import CITY_PRESETS, CityData
-from repro.traj.generate import simulate_city_trajectories
+from repro.traj.datasets import CityData, preset_trajectories
 
 
 class NearestMatcher:
@@ -87,9 +87,9 @@ class HMMMatcher:
 
     name = "FMM"
 
-    def __init__(self, net, index, norm, sigma: float = 12.0, beta: float = 150.0, k_c: int = K_C):
+    def __init__(self, net, index, norm, sigma: float = 12.0):
         self.net, self.index, self.norm = net, index, norm
-        self.sigma, self.beta, self.k_c = sigma, beta, k_c
+        self.sigma = sigma
 
     def _emission(self, feats, mask) -> np.ndarray:
         """Log emission per candidate: Gaussian on the perpendicular distance."""
@@ -99,7 +99,7 @@ class HMMMatcher:
         return em
 
     def match(self, xs, ys, ts, t0) -> np.ndarray:
-        cand, feats, mask = candidate_features(self.net, self.index, xs, ys, self.k_c)
+        cand, feats, mask = candidate_features(self.net, self.index, xs, ys)
         ratios = np.zeros(cand.shape)
         for i in range(len(xs)):
             for j in np.where(mask[i])[0]:
@@ -112,7 +112,7 @@ class HMMMatcher:
             d_rt = nd.directed(int(cand[i, a]), float(ratios[i, a]), int(cand[i + 1, b]), float(ratios[i + 1, b]))
             if not np.isfinite(d_rt):
                 return -1e9
-            return -abs(d_gc - d_rt) / self.beta
+            return -abs(d_gc - d_rt) / 150.0  # β, metres
 
         pick = _viterbi(cand, mask, em, trans)
         return cand[np.arange(len(pick)), pick]
@@ -124,32 +124,30 @@ class LHMMMatcher(HMMMatcher):
 
     name = "LHMM"
 
-    def __init__(self, net, index, norm, weights: np.ndarray, beta: float = 150.0, k_c: int = K_C):
-        super().__init__(net, index, norm, beta=beta, k_c=k_c)
+    def __init__(self, net, index, norm, weights: np.ndarray):
+        super().__init__(net, index, norm)
         self.w = weights
 
     @staticmethod
-    def fit_emission(city: CityData, iters: int = 300, lr: float = 0.5) -> np.ndarray:
-        """Softmax logistic regression over candidate features."""
+    def fit_emission(city: CityData) -> np.ndarray:
+        """Softmax logistic regression over candidate features: 300
+        full-batch gradient steps at rate 0.5."""
         X, Y = [], []
-        for tr in city.trajs("train"):
-            obs = np.where(tr.observed)[0]
-            s = build_mma_sample(city.net, city.index, tr.x[obs], tr.y[obs], tr.t[obs], tr.t0,
-                                 city.norm, true_seg=tr.seg[obs])
+        for s in mma_training_samples(city):
             for i in np.where(s.label >= 0)[0]:
                 X.append(s.feats[i])
                 Y.append(s.label[i])
         X = np.array(X)
         Y = np.array(Y, dtype=np.int64)
         w = np.zeros(X.shape[2])
-        for _ in range(iters):
+        for _ in range(300):
             logits = X @ w
             logits -= logits.max(1, keepdims=True)
             P = np.exp(logits)
             P /= P.sum(1, keepdims=True)
             grad = P
             grad[np.arange(len(Y)), Y] -= 1
-            w -= lr * np.einsum("nk,nkf->f", grad, X) / len(Y)
+            w -= 0.5 * np.einsum("nk,nkf->f", grad, X) / len(Y)
         return w
 
     def _emission(self, feats, mask) -> np.ndarray:
@@ -160,28 +158,44 @@ class LHMMMatcher(HMMMatcher):
         return logits - np.log(np.exp(logits - top).sum(1, keepdims=True)) - top
 
 
+class SegmentHead(Module):
+    """The all-segment output head of DeepMM, RNTrajRec and the MTrajRec
+    family: every segment's embedding ``E = proj(seg_features)`` and bias
+    ``b``, against which a query scores all n segments as ``q · E + b``.
+    Segment features are normalised midpoint, direction and Node2Vec
+    embedding (:func:`segment_feature_matrix`)."""
+
+    def __init__(self, seg_feats: np.ndarray, d: int, rng: np.random.Generator):
+        self.seg_feats = seg_feats  # (n, d_f) constant
+        self.proj = MLP([seg_feats.shape[1], 64, d], rng)
+        self.bias = Linear(seg_feats.shape[1], 1, rng)
+
+    def forward(self, x):
+        """``(E (n, d), b (n,))`` in the mode of ``x``, any input of the
+        calling model."""
+        F = like(self.seg_feats, x)
+        return self.proj(F), self.bias(F).reshape(len(self.seg_feats))
+
+
 class _FullVocabModel(Module):
     """Shared core of DeepMM-lite / RNTrajRec-route-lite: sequence encoder
     over point features + per-point softmax over **all n segments** (their
     defining trait vs MMA's candidate restriction).
 
-    The n-way output scores each segment as ``h · proj(seg_features)``
-    where segment features are normalised midpoint, direction and Node2Vec
-    embedding — the road-network-enhanced segment representations both
-    papers use — which lets the full-vocab head generalise geometrically at
-    our small training scale instead of memorising n independent classes.
+    The n-way output scores each segment through :class:`SegmentHead`,
+    from the road-network-enhanced segment representations both papers
+    use, which lets the full-vocab head generalise geometrically at our
+    small training scale instead of memorising n independent classes.
     """
 
     def __init__(self, seg_feats: np.ndarray, d: int, encoder: str, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.seg_feats = seg_feats  # (n, d_f) constant
         self.inp = Linear(3, d, rng)
         if encoder == "gru":
             self.enc = GRU(d, d, rng)
         else:
             self.enc = TransformerEncoder(d, n_layers=2, n_heads=2, rng=rng)
-        self.proj = MLP([seg_feats.shape[1], 64, d], rng)
-        self.bias = Linear(seg_feats.shape[1], 1, rng)
+        self.head = SegmentHead(seg_feats, d, rng)
         # learned-score gain, initialised small so the locality prior
         # dominates until the learned scores become informative
         self.gain = Tensor(np.array([0.3]), requires_grad=True)
@@ -192,19 +206,18 @@ class _FullVocabModel(Module):
         is the locality prior (DeepMM's grid restriction / RNTrajRec's
         surrounding-subgraph focus expressed as a soft distance penalty)."""
         h = self.enc(self.inp(X))  # (ℓ, d)
-        F = like(self.seg_feats, X)
-        E = self.proj(F)  # (n, d)
-        b = self.bias(F).reshape(1, len(self.seg_feats))
+        E, b = self.head(X)
         return (h @ E.transpose()) * like(self.gain, X) + b + penalty
 
 
-def distance_penalty(net: RoadNetwork, xs, ys, delta: float = 100.0, floor: float = -60.0) -> np.ndarray:
-    """Soft locality prior ``-(d/δ)²`` from each point to every segment."""
+def distance_penalty(net: RoadNetwork, xs, ys, delta: float = 100.0) -> np.ndarray:
+    """Soft locality prior ``-(d/δ)²`` from each point to every segment,
+    floored at -60."""
     all_ids = np.arange(net.n_segments)
     out = np.empty((len(xs), net.n_segments))
     for i in range(len(xs)):
         d = net.seg_distances(float(xs[i]), float(ys[i]), all_ids)
-        out[i] = np.maximum(-((d / delta) ** 2), floor)
+        out[i] = np.maximum(-((d / delta) ** 2), -60.0)
     return out
 
 
@@ -226,11 +239,11 @@ def heading_cos(net: RoadNetwork, px, py) -> np.ndarray:
     return out
 
 
-def matcher_locality_prior(net: RoadNetwork, xs, ys, delta: float = 100.0, w_dir: float = 2.0) -> np.ndarray:
-    """Distance + heading prior for the full-vocab matchers (DeepMM's grid
-    restriction and RNTrajRec's surrounding subgraph both carry position
-    AND heading information)."""
-    return distance_penalty(net, xs, ys, delta=delta) + w_dir * heading_cos(net, xs, ys)
+def matcher_locality_prior(net: RoadNetwork, xs, ys) -> np.ndarray:
+    """Distance + 2 × heading prior for the full-vocab matchers (DeepMM's
+    grid restriction and RNTrajRec's surrounding subgraph both carry
+    position AND heading information)."""
+    return distance_penalty(net, xs, ys) + 2.0 * heading_cos(net, xs, ys)
 
 
 def segment_feature_matrix(net: RoadNetwork, norm: dict, d: int = 16, seed: int = 0) -> np.ndarray:
@@ -270,12 +283,7 @@ class DeepMMMatcher:
         seqs, labels, pens = [], [], []
         trajs = city.trajs("train")
         if augment:
-            p = CITY_PRESETS[city.name]
-            trajs = trajs + simulate_city_trajectories(
-                city.net, augment, eps=p["eps"], target_len=p["target_len"], speed_mu=p["speed"],
-                noise_sigma=p["noise"], gamma=city.gamma, seed=seed + 991,
-                kin_seed=p["net_seed"] + 7,
-            )
+            trajs = trajs + preset_trajectories(city.net, city.name, augment, city.gamma, seed + 991, 0.05)
         for tr in trajs:
             obs = np.where(tr.observed)[0]
             if len(obs) < 2:
@@ -338,10 +346,7 @@ class GraphMMMatcher:
     def fit(self, city: CityData, epochs: int = 6, lr: float = 3e-3, seed: int = 0, batch: int = 64):
         self.emb = self._propagated()
         X, Y = [], []
-        for tr in city.trajs("train"):
-            obs = np.where(tr.observed)[0]
-            s = build_mma_sample(city.net, city.index, tr.x[obs], tr.y[obs], tr.t[obs], tr.t0,
-                                 city.norm, true_seg=tr.seg[obs])
+        for s in mma_training_samples(city):
             for i in np.where(s.label >= 0)[0]:
                 X.append(np.concatenate([self.emb[s.cand[i]], s.feats[i]], axis=1))
                 Y.append(s.label[i])
@@ -372,15 +377,14 @@ class MMAMatcher:
 
     name = "MMA"
 
-    def __init__(self, net, index, norm, model, k_c: int = K_C, use_direction: bool = True):
+    def __init__(self, net, index, norm, model, use_direction: bool = True):
         self.net, self.index, self.norm = net, index, norm
         self.model = model
-        self.k_c = k_c
         self.use_direction = use_direction
 
     def match(self, xs, ys, ts, t0) -> np.ndarray:
         s = build_mma_sample(
             self.net, self.index, np.asarray(xs), np.asarray(ys), np.asarray(ts), t0,
-            self.norm, k_c=self.k_c, use_direction=self.use_direction,
+            self.norm, use_direction=self.use_direction,
         )
         return self.model.predict(s)

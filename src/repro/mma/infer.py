@@ -4,6 +4,9 @@ This is the ``single_node_parallelizable`` layering the reproduction hint
 prescribes: the model-heavy per-trajectory computation runs inside
 ``groupBy("traj_id").applyInPandas`` with the matcher (model weights +
 road network + spatial index) shipped once per executor via broadcast.
+:func:`run_per_trajectory` is that plumbing; this module's
+:func:`run_matcher` and :func:`repro.trmma.infer.run_recovery` both run on
+it.
 
 One pass per matcher produces both outputs of Algorithm 1
 (:func:`match_and_stitch`, once per trajectory):
@@ -50,6 +53,57 @@ def match_and_stitch(matcher, xs, ys, ts, t0, costs):
     return segs, ratios, route
 
 
+def run_per_trajectory(spark: SparkSession, city: CityData, split: str, env, fn, schema: str) -> DataFrame:
+    """``fn(env, traj_id, idxs, xs, ys, ts, t0) -> pd.DataFrame`` applied to
+    the observed points of every trajectory of a split, in ``idx`` order,
+    inside ``groupBy("traj_id").applyInPandas`` with output ``schema``;
+    ``env`` is broadcast once."""
+    obs = city.points.filter((F.col("split") == split) & F.col("observed"))
+    bc = spark.sparkContext.broadcast(env)
+
+    def per_traj(key, pdf):
+        pdf = pdf.sort_values("idx")
+        return fn(
+            bc.value,
+            int(key[0]),
+            pdf["idx"].to_numpy(np.int64),
+            pdf["x"].to_numpy(np.float64),
+            pdf["y"].to_numpy(np.float64),
+            pdf["t"].to_numpy(np.float64),
+            float(pdf["t0"].iloc[0]),
+        )
+
+    return obs.groupBy("traj_id").applyInPandas(per_traj, schema=schema)
+
+
+def _matched_frame(env, tid, idxs, xs, ys, ts, t0) -> pd.DataFrame:
+    """One trajectory's matched points and route as rows of
+    ``_COMBINED_SCHEMA``."""
+    matcher, costs = env
+    segs, ratios, route = match_and_stitch(matcher, xs, ys, ts, t0, costs)
+    prow = pd.DataFrame(
+        {
+            "traj_id": tid,
+            "kind": "point",
+            "ord": -1,
+            "idx": idxs,
+            "seg": segs.astype(np.int64),
+            "ratio": ratios,
+        }
+    )
+    rrow = pd.DataFrame(
+        {
+            "traj_id": tid,
+            "kind": "route",
+            "ord": np.arange(len(route)),
+            "idx": -1,
+            "seg": route,
+            "ratio": 0.0,
+        }
+    )
+    return pd.concat([prow, rrow], ignore_index=True)
+
+
 def run_matcher(
     spark: SparkSession,
     city: CityData,
@@ -60,44 +114,7 @@ def run_matcher(
     """Run a matcher over every sparse trajectory of a split (see module
     docstring). ``costs`` are the historical routing costs used to stitch
     gaps (Alg. 1 line 12); defaults to plain shortest path."""
-    obs = city.points.filter((F.col("split") == split) & F.col("observed"))
-    bc = spark.sparkContext.broadcast({"matcher": matcher, "costs": costs})
-
-    def per_traj(key, pdf):
-        env = bc.value
-        pdf = pdf.sort_values("idx")
-        segs, ratios, route = match_and_stitch(
-            env["matcher"],
-            pdf["x"].to_numpy(np.float64),
-            pdf["y"].to_numpy(np.float64),
-            pdf["t"].to_numpy(np.float64),
-            float(pdf["t0"].iloc[0]),
-            env["costs"],
-        )
-        tid = int(key[0])
-        prow = pd.DataFrame(
-            {
-                "traj_id": tid,
-                "kind": "point",
-                "ord": -1,
-                "idx": pdf["idx"].to_numpy(np.int64),
-                "seg": segs.astype(np.int64),
-                "ratio": ratios,
-            }
-        )
-        rrow = pd.DataFrame(
-            {
-                "traj_id": tid,
-                "kind": "route",
-                "ord": np.arange(len(route)),
-                "idx": -1,
-                "seg": route,
-                "ratio": 0.0,
-            }
-        )
-        return pd.concat([prow, rrow], ignore_index=True)
-
-    combined = obs.groupBy("traj_id").applyInPandas(per_traj, schema=_COMBINED_SCHEMA).cache()
+    combined = run_per_trajectory(spark, city, split, (matcher, costs), _matched_frame, _COMBINED_SCHEMA).cache()
     points = combined.filter(F.col("kind") == "point").select("traj_id", "idx", "seg", "ratio")
     routes = combined.filter(F.col("kind") == "route").select(
         "traj_id", F.col("ord").alias("pos"), "seg"

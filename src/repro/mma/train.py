@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mma.features import K_C, MMASample, build_mma_sample
+from repro.mma.features import MMASample, build_mma_sample
 from repro.mma.model import MMAModel
 from repro.nn.autodiff import mean_of
 from repro.nn.optim import fit
 from repro.roadnet.node2vec import node2vec_embeddings
-from repro.traj.datasets import CityData
+from repro.traj.datasets import CityData, preset_trajectories
 
 
 def augmented_trajs(city: CityData, n: int, seed: int = 0):
@@ -29,31 +29,18 @@ def augmented_trajs(city: CityData, n: int, seed: int = 0):
     city distribution, emulating the large-history regime. Documented in
     DESIGN.md §2.
     """
-    from repro.traj.datasets import CITY_PRESETS
-    from repro.traj.generate import simulate_city_trajectories
-
     if n <= 0:
         return []
-    p = CITY_PRESETS[city.name]
-    return simulate_city_trajectories(
-        city.net, n, eps=p["eps"], target_len=p["target_len"], speed_mu=p["speed"],
-        noise_sigma=p["noise"], gamma=city.gamma, seed=500000 + seed,
-        outlier_p=0.03, kin_seed=p["net_seed"] + 7,
-    )
+    return preset_trajectories(city.net, city.name, n, city.gamma, 500000 + seed, 0.03)
 
 
 def mma_training_samples(
-    city: CityData,
-    split: str = "train",
-    k_c: int = K_C,
-    use_direction: bool = True,
-    max_traj: int | None = None,
-    augment: int = 0,
-    seed: int = 0,
+    city: CityData, use_direction: bool = True, augment: int = 0, seed: int = 0
 ) -> list[MMASample]:
-    """Featureised observed-point sequences for a split (+ augmentation)."""
+    """Featureised, labelled observed-point sequences of the train split
+    (+ augmentation)."""
     samples = []
-    for tr in city.trajs(split)[: max_traj or None] + augmented_trajs(city, augment, seed):
+    for tr in city.trajs("train") + augmented_trajs(city, augment, seed):
         obs = np.where(tr.observed)[0]
         if len(obs) < 2:
             continue
@@ -67,7 +54,6 @@ def mma_training_samples(
                 tr.t0,
                 city.norm,
                 true_seg=tr.seg[obs],
-                k_c=k_c,
                 use_direction=use_direction,
             )
         )

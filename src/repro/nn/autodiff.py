@@ -9,7 +9,7 @@ upstream gradient through :func:`_unbroadcast`, which sums the gradient over
 the broadcast axes so shapes always match the forward operands.
 
 Only the ops the reproduction's models need are implemented — matmul,
-elementwise arithmetic, relu/sigmoid/tanh/exp/log/sqrt/pow, reductions,
+elementwise arithmetic, relu/sigmoid/tanh/exp/log/pow, sum/mean,
 reshape/transpose/slicing, concat/stack, and composite softmax /
 log-softmax. All math is float64.
 
@@ -83,12 +83,6 @@ class Tensor:
 
     def item(self) -> float:
         return self.data.item()
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -189,7 +183,7 @@ class Tensor:
         return self._make(t, (self,), backward)
 
     def exp(self) -> "Tensor":
-        e = np.exp(np.clip(self.data, -700, 700))
+        e = np.exp(self.data.clip(-700, 700))
 
         def backward(g):
             return (g * e,)
@@ -202,16 +196,13 @@ class Tensor:
 
         return self._make(np.log(self.data), (self,), backward)
 
-    def sqrt(self) -> "Tensor":
-        return self.pow(0.5)
-
     def clip(self, lo: float, hi: float) -> "Tensor":
         mask = (self.data > lo) & (self.data < hi)
 
         def backward(g):
             return (g * mask,)
 
-        return self._make(np.clip(self.data, lo, hi), (self,), backward)
+        return self._make(self.data.clip(lo, hi), (self,), backward)
 
     # -- reductions -------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -225,18 +216,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return mean(self, axis=axis, keepdims=keepdims)
-
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        idx = np.argmax(self.data, axis=axis)
-        out = np.max(self.data, axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            grad = np.zeros_like(self.data)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            np.put_along_axis(grad, np.expand_dims(idx, axis), gg, axis)
-            return (grad,)
-
-        return self._make(out, (self,), backward)
 
     # -- shape ops --------------------------------------------------------
     def reshape(self, *shape) -> "Tensor":
@@ -259,10 +238,6 @@ class Tensor:
             return (g.transpose(inv),)
 
         return self._make(self.data.transpose(axes), (self,), backward)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def __getitem__(self, idx) -> "Tensor":
         def backward(g):
@@ -342,7 +317,7 @@ def relu(x):
 def sigmoid(x):
     if isinstance(x, Tensor):
         return x.sigmoid()
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
+    return 1.0 / (1.0 + np.exp(-x.clip(-60, 60)))
 
 
 def tanh(x):
@@ -354,7 +329,7 @@ def softmax(x, axis: int = -1):
     reciprocal (:meth:`Tensor.softmax`'s ops on an array)."""
     if isinstance(x, Tensor):
         return x.softmax(axis=axis)
-    e = np.exp(np.clip(x - x.max(axis=axis, keepdims=True), -700, 700))
+    e = np.exp((x - x.max(axis=axis, keepdims=True)).clip(-700, 700))
     return e * np.power(e.sum(axis=axis, keepdims=True), -1.0)
 
 
@@ -411,18 +386,3 @@ def mean_of(tensors: Sequence[Tensor]) -> Tensor:
         total = total + t
     return total * (1.0 / len(tensors))
 
-
-def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of scalar ``f`` at ``x`` (test helper)."""
-    g = np.zeros_like(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(x)
-        flat[i] = orig - eps
-        fm = f(x)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2 * eps)
-    return g

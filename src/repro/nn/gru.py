@@ -39,15 +39,16 @@ class GRUCell(Module):
 class GRU(Module):
     """Unrolls a GRUCell over a sequence ``X ∈ R^{ℓ × d_in}``.
 
-    Returns ``H ∈ R^{ℓ × d_h}`` (hidden state after each step). Pass ``h0``
-    to seed the state (e.g. mean-pooled encoder output, Alg. 2 line 6).
+    Returns ``H ∈ R^{ℓ × d_h}`` (hidden state after each step), starting
+    from the zero state. The decoders that seed their state (e.g. with the
+    mean-pooled encoder output, Alg. 2 line 6) step a :class:`GRUCell`.
     """
 
     def __init__(self, d_in: int, d_h: int, rng: np.random.Generator):
         self.cell = GRUCell(d_in, d_h, rng)
 
-    def forward(self, x, h0=None):
-        h = h0 if h0 is not None else self.cell.init_state()
+    def forward(self, x):
+        h = self.cell.init_state()
         outs = []
         for i in range(x.shape[0]):
             h = self.cell(x[i], h)

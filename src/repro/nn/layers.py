@@ -1,9 +1,10 @@
 """Standard layers on top of :mod:`repro.nn.autodiff`.
 
-``Module`` provides parameter registration/collection so optimizers and the
-Spark broadcast path (``state_dict``/``load_state_dict``) can treat every
-model uniformly. Parameter init follows the usual Glorot-uniform scheme with
-a per-module ``np.random.Generator`` for determinism.
+``Module`` collects parameters by attribute, in a fixed traversal order, so
+the optimizer treats every model uniformly. The Spark runners broadcast a
+model by pickling the object itself. Parameter init follows the usual
+Glorot-uniform scheme with a per-module ``np.random.Generator`` for
+determinism.
 
 Each layer has one ``forward``, and its input's type picks the mode: a
 :class:`Tensor` builds the autodiff graph (training), a plain array runs
@@ -37,31 +38,13 @@ class Module:
                         out.append(x)
         return out
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
-
-    def state_dict(self) -> list[np.ndarray]:
-        """Parameter values in deterministic traversal order (for pickling
-        to executors; pair with :meth:`load_state_dict`)."""
-        return [p.data.copy() for p in self.parameters()]
-
-    def load_state_dict(self, state: list[np.ndarray]) -> None:
-        params = self.parameters()
-        if len(params) != len(state):
-            raise ValueError(f"state has {len(state)} arrays, model has {len(params)}")
-        for p, a in zip(params, state):
-            if p.data.shape != a.shape:
-                raise ValueError(f"shape mismatch {p.data.shape} vs {a.shape}")
-            p.data = a.copy()
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     lim = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-lim, lim, size=shape or (fan_in, fan_out))
+    return rng.uniform(-lim, lim, size=(fan_in, fan_out))
 
 
 class Linear(Module):
@@ -95,15 +78,14 @@ class MLP(Module):
 class LayerNorm(Module):
     """Layer normalisation over the last axis with learnable scale/shift."""
 
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         self.gamma = Tensor(np.ones(d), requires_grad=True)
         self.beta = Tensor(np.zeros(d), requires_grad=True)
-        self.eps = eps
 
     def forward(self, x):
         centered = x - mean(x, axis=-1, keepdims=True)
         var = mean(centered * centered, axis=-1, keepdims=True)
-        return centered * (var + self.eps) ** -0.5 * like(self.gamma, x) + like(self.beta, x)
+        return centered * (var + 1e-5) ** -0.5 * like(self.gamma, x) + like(self.beta, x)
 
 
 class Embedding(Module):

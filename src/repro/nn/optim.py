@@ -8,6 +8,8 @@ import numpy as np
 
 from repro.nn.autodiff import Tensor
 
+B1, B2 = 0.9, 0.999  # Adam's moment decay rates (Kingma & Ba's defaults)
+
 
 class Adam:
     """Standard Adam with bias correction and optional gradient clipping.
@@ -16,18 +18,9 @@ class Adam:
     unrolls make this worthwhile at our tiny batch sizes.
     """
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        clip: float | None = 5.0,
-    ):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3, clip: float | None = 5.0):
         self.params = list(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.clip = clip
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -42,13 +35,13 @@ class Adam:
                 scale = self.clip / (norm + 1e-12)
                 grads = [g * scale for g in grads]
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1**self.t)
-            vhat = v / (1 - self.b2**self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            m *= B1
+            m += (1 - B1) * g
+            v *= B2
+            v += (1 - B2) * g * g
+            mhat = m / (1 - B1**self.t)
+            vhat = v / (1 - B2**self.t)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + 1e-8)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -68,27 +68,17 @@ class TransformerLayer(Module):
 
 
 class TransformerEncoder(Module):
-    """Stack of :class:`TransformerLayer` with positional encoding added to
-    the input, as used for ``Trans`` in Eq. (3) and ``Trans_T``/``Trans_R``
-    in Eqs. (11)-(12)."""
+    """Stack of :class:`TransformerLayer` (FFN width 4·d) with positional
+    encoding added to the input, as used for ``Trans`` in Eq. (3) and
+    ``Trans_T``/``Trans_R`` in Eqs. (11)-(12)."""
 
-    def __init__(
-        self,
-        d: int,
-        n_layers: int = 2,
-        n_heads: int = 2,
-        d_ffn: int | None = None,
-        rng: np.random.Generator | None = None,
-        use_pos: bool = True,
-    ):
+    def __init__(self, d: int, n_layers: int = 2, n_heads: int = 2, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.layers = [TransformerLayer(d, n_heads, d_ffn or 4 * d, rng) for _ in range(n_layers)]
-        self.use_pos = use_pos
+        self.layers = [TransformerLayer(d, n_heads, 4 * d, rng) for _ in range(n_layers)]
         self.d = d
 
     def forward(self, x):
-        if self.use_pos:
-            x = x + positional_encoding(x.shape[0], self.d)
+        x = x + positional_encoding(x.shape[0], self.d)
         for layer in self.layers:
             x = layer(x)
         return x

@@ -137,6 +137,19 @@ def trajs_from_pandas(points: pd.DataFrame, routes: pd.DataFrame) -> list[Trajec
     return out
 
 
+def preset_trajectories(net: RoadNetwork, city: str, n: int, gamma: float, seed: int,
+                        outlier_p: float) -> list[Trajectory]:
+    """``n`` trajectories simulated on ``net`` with city preset ``city``'s
+    sampling rate, trip length, speed and GPS noise. The kinematics are
+    seeded from the preset's network, so every draw of a city shares its
+    persistent road speeds and signals; ``seed`` draws the trips."""
+    p = CITY_PRESETS[city]
+    return simulate_city_trajectories(
+        net, n, eps=p["eps"], target_len=p["target_len"], speed_mu=p["speed"], noise_sigma=p["noise"],
+        gamma=gamma, seed=seed, outlier_p=outlier_p, kin_seed=p["net_seed"] + 7,
+    )
+
+
 def build_city(
     spark: SparkSession,
     city: str,
@@ -153,18 +166,7 @@ def build_city(
     p = CITY_PRESETS[city]
     net = make_city(nx=p["nx"], ny=p["ny"], spacing=p["spacing"],
                     one_way_p=p["one_way_p"], seed=p["net_seed"])
-    trajs = simulate_city_trajectories(
-        net,
-        n_traj=n_traj,
-        eps=p["eps"],
-        target_len=p["target_len"],
-        speed_mu=p["speed"],
-        noise_sigma=p["noise"],
-        gamma=gamma,
-        seed=p["net_seed"] * 1000 + seed,
-        outlier_p=0.03,
-        kin_seed=p["net_seed"] + 7,
-    )
+    trajs = preset_trajectories(net, city, n_traj, gamma, p["net_seed"] * 1000 + seed, 0.03)
     points_pd, routes_pd = trajectories_to_frames(trajs, city)
     parts = max(2, min(16, n_traj // 50))
     points = spark.createDataFrame(points_pd).repartition(parts, "traj_id").cache()

@@ -51,17 +51,8 @@ class Trajectory:
     y: np.ndarray
     observed: np.ndarray  # (ℓ_ε,) bool sparsification mask
 
-    @property
-    def length_m(self) -> float:
-        return float(np.hypot(np.diff(self.tx), np.diff(self.ty)).sum())
 
-
-def _sp_route(
-    net: RoadNetwork,
-    rng: np.random.Generator,
-    target_len: float,
-    cost_jitter: float = 0.06,
-) -> np.ndarray:
+def _sp_route(net: RoadNetwork, rng: np.random.Generator, target_len: float) -> np.ndarray:
     """A driver-like route: cheapest path under per-trip randomised edge
     costs, from a random origin to a destination whose true path length
     lands near ``target_len``.
@@ -73,7 +64,7 @@ def _sp_route(
     Dijkstra tree guarantees a simple path (Definition 3).
     """
     src = int(rng.integers(net.n_nodes))
-    factor = np.exp(rng.normal(0, cost_jitter, net.n_segments))
+    factor = np.exp(rng.normal(0, 0.06, net.n_segments))  # per-trip cost jitter
     dist, prev_seg = shortest_paths(net, src, net.length * factor)
     # true (unjittered) length along the tree; costs are positive, so in
     # order of dist every node's parent comes before it

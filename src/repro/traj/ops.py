@@ -45,29 +45,6 @@ def route_offset(net: RoadNetwork, route, pos: int, ratio: float, cum: np.ndarra
     return float(cum[pos] + ratio * net.length[int(np.asarray(route)[pos])])
 
 
-def project_to_route(net: RoadNetwork, route, x: float, y: float):
-    """Project a GPS point onto the nearest segment *of the route*.
-
-    Returns ``(route_pos, ratio, distance)`` — used when a matched segment
-    needs to be located inside a stitched route.
-    """
-    best = (0, 0.0, np.inf)
-    for pos, seg in enumerate(route):
-        r, d = net.project(x, y, int(seg))
-        if d < best[2]:
-            best = (pos, r, d)
-    return best
-
-
-def cosine(vx: float, vy: float, wx: float, wy: float) -> float:
-    """Cosine similarity of two 2-D vectors; 0 when either is ~zero."""
-    nv = np.hypot(vx, vy)
-    nw = np.hypot(wx, wy)
-    if nv < 1e-9 or nw < 1e-9:
-        return 0.0
-    return float((vx * wx + vy * wy) / (nv * nw))
-
-
 def sparsify_mask(n: int, gamma: float, rng: np.random.Generator) -> np.ndarray:
     """Random sparsification mask: keep first/last, keep interior points
     with probability ``gamma`` (paper §VI-A: sparse trajectories average a

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mma.baselines import distance_penalty, heading_cos as _heading_cos, segment_feature_matrix
+from repro.mma.baselines import SegmentHead, distance_penalty, heading_cos as _heading_cos, segment_feature_matrix
 from repro.mma.features import point_features
 from repro.mma.infer import match_and_stitch
 from repro.nn.autodiff import Tensor, concat, like, mean, mean_of, sigmoid, softmax
@@ -75,14 +75,15 @@ class LinearRecoverer:
         return segs, ratios
 
 
-def snap_with_direction(net, index, px, py, k: int = 6, w_dir: float = 30.0):
-    """Snap coordinate estimates to segments, scoring candidates by
-    perpendicular distance minus a heading bonus (twin disambiguation)."""
+def snap_with_direction(net, index, px, py):
+    """Snap coordinate estimates to segments, scoring each point's 6 nearest
+    candidates by perpendicular distance minus 30 × a heading cosine (twin
+    disambiguation)."""
     n = len(px)
     segs = np.zeros(n, dtype=np.int64)
     ratios = np.zeros(n)
     for i in range(n):
-        ids, d = index.query(float(px[i]), float(py[i]), k)
+        ids, d = index.query(float(px[i]), float(py[i]), 6)
         a = max(0, i - 1)
         b = min(n - 1, i + 1)
         mx, my = px[b] - px[a], py[b] - py[a]
@@ -90,7 +91,7 @@ def snap_with_direction(net, index, px, py, k: int = 6, w_dir: float = 30.0):
         score = d.copy()
         if nrm > 1e-6:
             dirs = net.seg_dir(ids)
-            score = score - w_dir * (dirs[:, 0] * mx + dirs[:, 1] * my) / nrm
+            score = score - 30.0 * (dirs[:, 0] * mx + dirs[:, 1] * my) / nrm
         sg = int(ids[int(np.argmin(score))])
         segs[i] = sg
         ratios[i], _ = net.project(float(px[i]), float(py[i]), sg)
@@ -161,16 +162,14 @@ class _LearnedRecoverer:
 class _FullVocabDecoder(Module):
     """GRU decoder classifying every ε tick over all n segments.
 
-    Segment scores are ``q · proj(seg_features)`` (see
-    :func:`repro.mma.baselines.segment_feature_matrix`); the ratio head is
-    an MLP over the state and the predicted segment's projection.
+    Segment scores are ``q · E + b`` from the shared
+    :class:`repro.mma.baselines.SegmentHead`; the ratio head is an MLP over
+    the state and the predicted segment's embedding.
     """
 
     def __init__(self, seg_feats: np.ndarray, d: int, rng: np.random.Generator):
-        self.seg_feats = seg_feats
         self.d = d
-        self.proj = MLP([seg_feats.shape[1], 64, d], rng)
-        self.bias = Linear(seg_feats.shape[1], 1, rng)
+        self.head = SegmentHead(seg_feats, d, rng)
         self.gru = GRUCell(d + 2, d, rng)
         self.q = Linear(2 * d, d, rng)  # state+attn-ctx → query
         self.reg = MLP([2 * d, d, 1], rng)
@@ -208,8 +207,7 @@ class _Seq2SegRecoverer(_LearnedRecoverer):
     _parts = ("dec", "inp", "enc", "enc2", "pool")
 
     def _build(self, rng):
-        self.seg_feats = segment_feature_matrix(self.net, self.norm, seed=self.seed)
-        self.dec = _FullVocabDecoder(self.seg_feats, self.d, rng)
+        self.dec = _FullVocabDecoder(segment_feature_matrix(self.net, self.norm, seed=self.seed), self.d, rng)
         self.inp = Linear(4, self.d, rng)
         self._build_encoder(rng)
 
@@ -254,9 +252,7 @@ class _Seq2SegRecoverer(_LearnedRecoverer):
         by = np.interp(np.arange(n_ticks), np.asarray(idxs, dtype=float), np.asarray(ys))
         pen = distance_penalty(self.net, bx, by, delta=150.0)
         pen = pen + 4.0 * _heading_cos(self.net, bx, by)
-        F = like(self.seg_feats, X)
-        E = self.dec.proj(F)  # (n, d)
-        b = self.dec.bias(F).reshape(len(self.seg_feats))
+        E, b = self.dec.head(X)  # (n, d), (n,)
         segs = np.zeros(n_ticks, dtype=np.int64)
         ratios = np.zeros(n_ticks)
         losses = []

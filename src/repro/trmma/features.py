@@ -35,7 +35,7 @@ def route_time_weights(
     """Expected traversal-time share per route segment.
 
     ``time_per_meter`` comes from historical statistics
-    (:func:`repro.trmma.train.segment_time_stats`); ``None`` falls back to
+    (:func:`repro.trmma.train.segment_time_stats_trajs`); ``None`` falls back to
     uniform speed (time ∝ length), i.e. plain distance interpolation."""
     lens = net.length[np.asarray(route, dtype=np.int64)]
     if time_per_meter is None:

@@ -1,8 +1,9 @@
 """Spark-batched trajectory recovery.
 
 ``run_recovery`` applies any *recoverer* (TRMMA or a baseline) to every
-sparse test trajectory via ``groupBy("traj_id").applyInPandas`` — the
-batched dual-transformer inference over trajectory partitions named in the
+sparse test trajectory via ``groupBy("traj_id").applyInPandas`` (the
+shared :func:`repro.mma.infer.run_per_trajectory`) — the batched
+dual-transformer inference over trajectory partitions named in the
 reproduction hint. A recoverer implements::
 
     recover(xs, ys, ts, t0, idxs, n_ticks) -> (segs, ratios)   # per ε tick
@@ -15,9 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.mma.infer import match_and_stitch
+from repro.mma.infer import match_and_stitch, run_per_trajectory
 # Not called here; kept as a module attribute because trbench/ wraps
 # ``repro.trmma.infer.stitch_route`` by name.
 from repro.roadnet.routing import stitch_route  # noqa: F401
@@ -52,6 +52,20 @@ class TRMMARecoverer:
         return self.model.recover(sample)
 
 
+def _recovered_frame(rec, tid, idxs, xs, ys, ts, t0) -> pd.DataFrame:
+    """One trajectory's recovered ``T_ε``, one row per ε tick."""
+    n_ticks = int(idxs[-1]) + 1
+    segs, ratios = rec.recover(xs, ys, ts, t0, idxs, n_ticks)
+    return pd.DataFrame(
+        {
+            "traj_id": tid,
+            "idx": np.arange(n_ticks, dtype=np.int64),
+            "seg": np.asarray(segs, dtype=np.int64),
+            "ratio": np.asarray(ratios, dtype=np.float64),
+        }
+    )
+
+
 def run_recovery(
     spark: SparkSession,
     city: CityData,
@@ -60,30 +74,5 @@ def run_recovery(
 ) -> DataFrame:
     """Recovered ``T_ε`` for every trajectory of a split:
     (traj_id, idx, seg, ratio) with one row per ε tick."""
-    obs = city.points.filter((F.col("split") == split) & F.col("observed"))
-    bc = spark.sparkContext.broadcast(recoverer)
-    schema = "traj_id long, idx long, seg long, ratio double"
-
-    def per_traj(key, pdf):
-        rec = bc.value
-        pdf = pdf.sort_values("idx")
-        idxs = pdf["idx"].to_numpy(np.int64)
-        n_ticks = int(idxs[-1]) + 1
-        segs, ratios = rec.recover(
-            pdf["x"].to_numpy(np.float64),
-            pdf["y"].to_numpy(np.float64),
-            pdf["t"].to_numpy(np.float64),
-            float(pdf["t0"].iloc[0]),
-            idxs,
-            n_ticks,
-        )
-        return pd.DataFrame(
-            {
-                "traj_id": int(key[0]),
-                "idx": np.arange(n_ticks, dtype=np.int64),
-                "seg": np.asarray(segs, dtype=np.int64),
-                "ratio": np.asarray(ratios, dtype=np.float64),
-            }
-        )
-
-    return obs.groupBy("traj_id").applyInPandas(per_traj, schema=schema)
+    return run_per_trajectory(spark, city, split, recoverer, _recovered_frame,
+                              "traj_id long, idx long, seg long, ratio double")

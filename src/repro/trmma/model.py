@@ -115,7 +115,7 @@ class TRMMAModel(Module):
 
         ``route_timew`` holds each segment's expected traversal-time share
         learned from historical trajectories (per-road speeds + stop
-        propensities, :func:`repro.trmma.train.segment_time_stats`); with
+        propensities, :func:`repro.trmma.train.segment_time_stats_trajs`); with
         uniform time-per-metre this degenerates to plain distance-linear
         interpolation (what the Linear baseline does). This is the
         "capture patterns from historical data" part of TRMMA expressed as
@@ -126,12 +126,12 @@ class TRMMAModel(Module):
         cum_t = np.concatenate([[0.0], np.cumsum(tw)])
         off_obs = start[s.obs_pos] + s.obs_feats[:, 4] * ln[s.obs_pos]
         # route offset → time: the segment holding each offset, then its share
-        k = np.clip(np.searchsorted(start, off_obs, side="right") - 1, 0, len(ln) - 1)
-        t_obs = cum_t[k] + np.clip((off_obs - start[k]) / ln[k], 0, 1) * tw[k]
+        k = (np.searchsorted(start, off_obs, side="right") - 1).clip(0, len(ln) - 1)
+        t_obs = cum_t[k] + ((off_obs - start[k]) / ln[k]).clip(0, 1) * tw[k]
         t_ticks = np.interp(np.arange(s.n_ticks), s.obs_tick.astype(float), t_obs)
         # and back: time → route offset
-        k = np.clip(np.searchsorted(cum_t, t_ticks, side="right") - 1, 0, len(ln) - 1)
-        return start[k] + np.clip((t_ticks - cum_t[k]) / tw[k], 0, 1) * ln[k]
+        k = (np.searchsorted(cum_t, t_ticks, side="right") - 1).clip(0, len(ln) - 1)
+        return start[k] + ((t_ticks - cum_t[k]) / tw[k]).clip(0, 1) * ln[k]
 
     @staticmethod
     def _decode_feats(s: TrmmaSample, tau: float, exp_off: float) -> np.ndarray:
@@ -141,8 +141,8 @@ class TRMMAModel(Module):
         segment — in [0, 1) exactly for the containing segment."""
         ln = np.maximum(s.route_feats[:, 0], 1e-6)
         start = s.route_feats[:, 1]
-        r_exp = np.clip((exp_off - start) / ln, -3.0, 4.0)
-        r_tau = np.clip((tau - start) / ln, -3.0, 4.0)
+        r_exp = ((exp_off - start) / ln).clip(-3.0, 4.0)
+        r_tau = ((tau - start) / ln).clip(-3.0, 4.0)
         inside = ((r_exp >= 0) & (r_exp < 1)).astype(np.float64)
         inside_tau = ((r_tau >= 0) & (r_tau < 1)).astype(np.float64)
         return np.stack([r_exp, r_tau, inside, inside_tau], axis=1)
@@ -162,7 +162,7 @@ class TRMMAModel(Module):
         a perfect constant-progress model would answer; the head shifts it
         using the state and the attended encoding)."""
         psi = softmax(w, axis=-1).reshape(1, -1)
-        prior = float(np.clip(feats[k, 0], 0.0, 1.0))
+        prior = float(feats[k, 0].clip(0.0, 1.0))
         z = concat([h.reshape(1, self.d_h), psi @ H, psi @ feats[:, :2], np.array([[prior, exp_off]])], axis=-1)
         delta = tanh(self.reg(z).reshape(1))
         return (delta * 0.5 + prior).clip(0.0, 1.0 - 1e-6)

@@ -73,11 +73,11 @@ def trmma_train_trajs(city: CityData, augment: int = 0, seed: int = 0):
 
 
 def trmma_training_samples(
-    city: CityData, split: str = "train", time_per_meter: np.ndarray | None = None,
-    trajs=None,
+    city: CityData, time_per_meter: np.ndarray | None = None, trajs=None
 ) -> list[TrmmaSample]:
+    """Teacher-forcing samples of ``trajs`` (default: the train split)."""
     out = []
-    for tr in trajs if trajs is not None else city.trajs(split):
+    for tr in trajs if trajs is not None else city.trajs("train"):
         s = build_train_sample(city.net, tr, city.norm, time_per_meter=time_per_meter)
         if s is not None:
             out.append(s)

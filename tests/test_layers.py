@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from repro.nn.autodiff import Tensor, concat, mean, numeric_grad, relu, sigmoid, softmax, stack, tanh
+from repro.nn.autodiff import Tensor, concat, mean, relu, sigmoid, softmax, stack, tanh
 from repro.nn.layers import Embedding, LayerNorm, Linear, MLP, Module, glorot
 from repro.nn.optim import Adam, fit
+from tests.gradcheck import numeric_grad
 
 RNG = np.random.default_rng(7)
 
@@ -88,29 +89,6 @@ def test_module_parameter_collection_nested():
 
     net = Net()
     assert len(net.parameters()) == 2 + 2 + 2 + 1
-
-
-def test_state_dict_roundtrip_and_errors():
-    mlp = MLP([3, 4, 2], np.random.default_rng(3))
-    state = mlp.state_dict()
-    mlp2 = MLP([3, 4, 2], np.random.default_rng(9))
-    mlp2.load_state_dict(state)
-    x = RNG.normal(size=(2, 3))
-    assert np.allclose(mlp(Tensor(x)).data, mlp2(Tensor(x)).data)
-    with pytest.raises(ValueError):
-        mlp2.load_state_dict(state[:-1])
-    bad = [a.copy() for a in state]
-    bad[0] = np.zeros((1, 1))
-    with pytest.raises(ValueError):
-        mlp2.load_state_dict(bad)
-
-
-def test_zero_grad_clears():
-    mlp = MLP([2, 2], np.random.default_rng(0))
-    (mlp(Tensor(np.ones((1, 2)))) ** 2).sum().backward()
-    assert any(p.grad is not None for p in mlp.parameters())
-    mlp.zero_grad()
-    assert all(p.grad is None for p in mlp.parameters())
 
 
 def test_glorot_bounds():

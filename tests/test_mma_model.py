@@ -64,7 +64,6 @@ def test_loss_decreases_on_overfit(net_small, sample):
 
 def test_context_flag_reduces_params_used(net_small, sample):
     m = MMAModel(net_small.n_segments, d0=16, d2=16, seed=0, use_context=False)
-    m.zero_grad()
     m.loss(sample).backward()
     # attention MLP receives no gradient when context is off
     attn_grads = [p.grad for p in m.attn_mlp.parameters()]
@@ -75,13 +74,6 @@ def test_n2v_init_used(net_small):
     init = np.random.default_rng(0).normal(size=(net_small.n_segments, 16))
     m = MMAModel(net_small.n_segments, d0=16, d2=16, seed=0, n2v_init=init)
     assert np.allclose(m.seg_emb.W.data, init)
-
-
-def test_state_roundtrip_changes_nothing(model, sample):
-    out1 = model.forward(sample, sample.X)
-    state = model.state_dict()
-    model.load_state_dict(state)
-    assert np.allclose(model.forward(sample, sample.X), out1)
 
 
 def test_model_pickles_for_broadcast(model, sample):

@@ -51,4 +51,4 @@ def test_train_mma_deterministic(pt_city):
     samples = mma_training_samples(pt_city)[:10]
     a = train_mma(pt_city, epochs=1, d=16, samples=samples, seed=3)
     b = train_mma(pt_city, epochs=1, d=16, samples=samples, seed=3)
-    assert all(np.allclose(x, y) for x, y in zip(a.state_dict(), b.state_dict()))
+    assert all(np.allclose(x.data, y.data) for x, y in zip(a.parameters(), b.parameters()))

@@ -3,9 +3,7 @@ import numpy as np
 import pytest
 
 from repro.traj.ops import (
-    cosine,
     locate_on_route,
-    project_to_route,
     route_cum_lengths,
     route_offset,
     sparsify_mask,
@@ -44,22 +42,6 @@ def test_locate_clamps_out_of_range(net_small, route):
     pos2, _, ratio2 = locate_on_route(net_small, route, cum[-1] + 100, cum)
     assert pos2 == len(route) - 1
     assert ratio2 < 1.0
-
-
-def test_project_to_route_finds_containing_segment(net_small, route):
-    seg_i = len(route) // 2
-    x, y = net_small.point_at(route[seg_i], 0.4)
-    pos, ratio, d = project_to_route(net_small, route, float(x), float(y))
-    assert d < 1e-9
-    assert pos == seg_i
-    assert ratio == pytest.approx(0.4, abs=1e-9)
-
-
-def test_cosine_basics():
-    assert cosine(1, 0, 1, 0) == pytest.approx(1.0)
-    assert cosine(1, 0, -1, 0) == pytest.approx(-1.0)
-    assert cosine(1, 0, 0, 1) == pytest.approx(0.0)
-    assert cosine(0, 0, 1, 1) == 0.0  # zero vector convention
 
 
 def test_sparsify_mask_keeps_endpoints():

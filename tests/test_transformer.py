@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from repro.nn.autodiff import Tensor, numeric_grad
+from repro.nn.autodiff import Tensor
 from repro.nn.transformer import (
     MultiHeadAttention,
     TransformerEncoder,
     TransformerLayer,
     positional_encoding,
 )
+from tests.gradcheck import numeric_grad
 
 RNG = np.random.default_rng(11)
 
@@ -62,14 +63,8 @@ def test_encoder_position_sensitivity():
     assert not np.allclose(out1[0], out2[-1])
 
 
-def test_encoder_no_pos_flag():
-    enc = TransformerEncoder(8, n_layers=1, n_heads=2, rng=np.random.default_rng(3), use_pos=False)
-    x = RNG.normal(size=(4, 8))
-    assert enc(Tensor(x)).shape == (4, 8)
-
-
 def test_encoder_weight_gradcheck():
-    enc = TransformerEncoder(6, n_layers=1, n_heads=2, d_ffn=8, rng=np.random.default_rng(4))
+    enc = TransformerEncoder(6, n_layers=1, n_heads=2, rng=np.random.default_rng(4))
     x = RNG.normal(size=(3, 6))
     p = enc.parameters()[0]
     orig = p.data.copy()
@@ -103,8 +98,7 @@ def test_forward_np_matches_autodiff_exactly(lq, lk):
     assert np.array_equal(mha(q, kv, kv), mha(Tensor(q), Tensor(kv), Tensor(kv)).data)
     layer = TransformerLayer(8, 2, 16, rng)
     assert np.array_equal(layer(q), layer(Tensor(q)).data)
-    for use_pos in (True, False):
-        enc = TransformerEncoder(8, n_layers=2, n_heads=2, rng=rng, use_pos=use_pos)
-        out = enc(kv)
-        assert type(out) is np.ndarray
-        assert np.array_equal(out, enc(Tensor(kv)).data)
+    enc = TransformerEncoder(8, n_layers=2, n_heads=2, rng=rng)
+    out = enc(kv)
+    assert type(out) is np.ndarray
+    assert np.array_equal(out, enc(Tensor(kv)).data)

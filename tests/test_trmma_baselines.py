@@ -35,8 +35,7 @@ def rollout_autodiff(rec, xs, ys, ts, t0, idxs, n_ticks):
     reference the forward-only decode must equal bit for bit."""
     X = Tensor(rec._obs_X(xs, ys, ts, t0, n_ticks))
     enc_states, h = rec._encode(X, xs, ys)
-    E = rec.dec.proj(Tensor(rec.seg_feats))
-    b = rec.dec.bias(Tensor(rec.seg_feats)).reshape(len(rec.seg_feats))
+    E, b = rec.dec.head(X)
     taus = (np.arange(n_ticks) * rec.eps) / max((n_ticks - 1) * rec.eps, 1e-9)
     bx = np.interp(np.arange(n_ticks), np.asarray(idxs, dtype=float), np.asarray(xs))
     by = np.interp(np.arange(n_ticks), np.asarray(idxs, dtype=float), np.asarray(ys))
