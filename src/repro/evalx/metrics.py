@@ -6,8 +6,10 @@ Two families:
   F1 over recovered segment sets, point-wise Accuracy, and MAE / RMSE of the
   road-network distance between recovered and ground-truth map-matched
   points. Network distances need the road graph, so the per-trajectory pass
-  runs in ``applyInPandas`` with the :class:`repro.roadnet.graph.RoadNetwork`
-  shipped via a Spark broadcast and a per-worker Dijkstra cache.
+  runs in ``mapInPandas`` over ``traj_id``-sorted partitions
+  (:func:`repro.traj.datasets.map_trajectories`) with the
+  :class:`repro.roadnet.graph.RoadNetwork` shipped via a Spark broadcast
+  and a per-worker Dijkstra cache.
 * **Map matching** (Table V): per-trajectory Precision / Recall / F1 /
   Jaccard over route segment sets, expressed in pure Spark SQL (distinct +
   joins + aggregation).
@@ -27,6 +29,7 @@ from pyspark.sql import functions as F
 
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.routing import network_distance_for
+from repro.traj.datasets import map_trajectories
 
 
 RECOVERY_METRIC_COLS = ["recall", "precision", "f1", "accuracy", "mae", "rmse"]
@@ -59,10 +62,8 @@ def recovery_metrics_per_traj(
         "accuracy double, mae double, rmse double"
     )
 
-    def per_traj(key, pdf):
-        net_ = bc.value
-        nd = network_distance_for(net_)
-        pdf = pdf.sort_values("idx")
+    def per_traj(tid, pdf):
+        nd = network_distance_for(bc.value)
         ps = pdf["pseg"].to_numpy(np.int64)
         gs = pdf["gseg"].to_numpy(np.int64)
         pr = pdf["pratio"].to_numpy(np.float64)
@@ -76,7 +77,7 @@ def recovery_metrics_per_traj(
         d = np.array([nd.dist(int(a), float(b), int(c), float(e)) for a, b, c, e in zip(ps, pr, gs, gr)])
         return pd.DataFrame(
             {
-                "traj_id": [key[0]],
+                "traj_id": [tid],
                 "recall": [rec],
                 "precision": [prec],
                 "f1": [f1],
@@ -86,7 +87,7 @@ def recovery_metrics_per_traj(
             }
         )
 
-    return joined.groupBy("traj_id").applyInPandas(per_traj, schema=schema)
+    return map_trajectories(joined, per_traj, schema)
 
 
 def route_metrics_per_traj(pred_routes: DataFrame, gt_routes: DataFrame) -> DataFrame:

@@ -8,7 +8,7 @@ stitches the matched segments into a route (Algorithm 1). Subpackages:
   features of §IV-B.
 * :mod:`repro.mma.model` — the point/candidate embedding network (Eqs. 1-9).
 * :mod:`repro.mma.train` — driver-side training loop (Eq. 10 objective).
-* :mod:`repro.mma.infer` — Spark ``applyInPandas`` batched inference.
+* :mod:`repro.mma.infer` — Spark ``mapInPandas`` batched inference.
 * :mod:`repro.mma.baselines` — Nearest, FMM (HMM/Viterbi), LHMM-lite,
   DeepMM-lite, GraphMM-lite, RNTrajRec-route-lite.
 """

@@ -2,11 +2,12 @@
 
 This is the ``single_node_parallelizable`` layering the reproduction hint
 prescribes: the model-heavy per-trajectory computation runs inside
-``groupBy("traj_id").applyInPandas`` with the matcher (model weights +
-road network + spatial index) shipped once per executor via broadcast.
-:func:`run_per_trajectory` is that plumbing; this module's
-:func:`run_matcher` and :func:`repro.trmma.infer.run_recovery` both run on
-it.
+``mapInPandas`` over ``traj_id``-sorted partitions, one Python task per
+Spark slot (:func:`repro.traj.datasets.map_trajectories`), with the
+matcher (model weights + road network + spatial index) shipped once per
+executor via broadcast. :func:`run_per_trajectory` is that plumbing; this
+module's :func:`run_matcher` and :func:`repro.trmma.infer.run_recovery`
+both run on it.
 
 One pass per matcher produces both outputs of Algorithm 1
 (:func:`match_and_stitch`, once per trajectory):
@@ -24,7 +25,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.roadnet.routing import stitch_route
-from repro.traj.datasets import CityData
+from repro.traj.datasets import CityData, map_trajectories
 
 _COMBINED_SCHEMA = "traj_id long, kind string, ord long, idx long, seg long, ratio double"
 
@@ -56,16 +57,15 @@ def match_and_stitch(matcher, xs, ys, ts, t0, costs):
 def run_per_trajectory(spark: SparkSession, city: CityData, split: str, env, fn, schema: str) -> DataFrame:
     """``fn(env, traj_id, idxs, xs, ys, ts, t0) -> pd.DataFrame`` applied to
     the observed points of every trajectory of a split, in ``idx`` order,
-    inside ``groupBy("traj_id").applyInPandas`` with output ``schema``;
-    ``env`` is broadcast once."""
+    through :func:`repro.traj.datasets.map_trajectories` with output
+    ``schema``; ``env`` is broadcast once."""
     obs = city.points.filter((F.col("split") == split) & F.col("observed"))
     bc = spark.sparkContext.broadcast(env)
 
-    def per_traj(key, pdf):
-        pdf = pdf.sort_values("idx")
+    def per_traj(tid, pdf):
         return fn(
             bc.value,
-            int(key[0]),
+            tid,
             pdf["idx"].to_numpy(np.int64),
             pdf["x"].to_numpy(np.float64),
             pdf["y"].to_numpy(np.float64),
@@ -73,7 +73,7 @@ def run_per_trajectory(spark: SparkSession, city: CityData, split: str, env, fn,
             float(pdf["t0"].iloc[0]),
         )
 
-    return obs.groupBy("traj_id").applyInPandas(per_traj, schema=schema)
+    return map_trajectories(obs, per_traj, schema)
 
 
 def _matched_frame(env, tid, idxs, xs, ys, ts, t0) -> pd.DataFrame:

@@ -11,7 +11,7 @@ substitution is documented in DESIGN.md §2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -61,12 +61,44 @@ class CityData:
     points: DataFrame  # one row per ε-tick point (GT + noisy observation)
     routes: DataFrame  # one row per route segment
     norm: dict  # x0/x1/y0/y1 bbox used for min-max feature scaling
+    _trajs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def trajs(self, split: str | None = None) -> list[Trajectory]:
-        """Collect trajectories of a split back to driver-side objects."""
-        pts = self.points if split is None else self.points.filter(F.col("split") == split)
-        rts = self.routes if split is None else self.routes.filter(F.col("split") == split)
-        return trajs_from_pandas(pts.toPandas(), rts.toPandas())
+        """Trajectories of a split as driver-side objects, collected through
+        Spark on the first call per split. Later calls return a new list of
+        the same (never mutated) objects."""
+        if split not in self._trajs:
+            pts = self.points if split is None else self.points.filter(F.col("split") == split)
+            rts = self.routes if split is None else self.routes.filter(F.col("split") == split)
+            self._trajs[split] = trajs_from_pandas(pts.toPandas(), rts.toPandas())
+        return list(self._trajs[split])
+
+
+def map_trajectories(df: DataFrame, fn, schema: str) -> DataFrame:
+    """``fn(traj_id, pdf) -> pd.DataFrame`` applied to each trajectory's rows
+    of ``df`` (which has ``traj_id`` and ``idx`` columns), in ``idx`` order,
+    with output ``schema``.
+
+    The rows are hash-partitioned by ``traj_id`` into one partition per
+    Spark slot (``defaultParallelism``) and sorted within each, so a pass
+    is one wave of one Python task per slot, whatever the input's layout.
+    Each task concatenates its partition's Arrow batches (a trajectory may
+    straddle two), cuts them where ``traj_id`` changes, and yields one frame.
+    """
+    parts = df.sparkSession.sparkContext.defaultParallelism
+
+    def per_partition(batches):
+        frames = [b for b in batches if len(b)]
+        if not frames:
+            return
+        pdf = pd.concat(frames, ignore_index=True)
+        tids = pdf["traj_id"].to_numpy()
+        cuts = np.concatenate(([0], np.flatnonzero(tids[1:] != tids[:-1]) + 1, [len(tids)]))
+        yield pd.concat([fn(int(tids[a]), pdf.iloc[a:b]) for a, b in zip(cuts[:-1], cuts[1:])],
+                        ignore_index=True)
+
+    return (df.repartition(parts, "traj_id").sortWithinPartitions("traj_id", "idx")
+            .mapInPandas(per_partition, schema=schema))
 
 
 def trajectories_to_frames(trajs: list[Trajectory], city: str) -> tuple[pd.DataFrame, pd.DataFrame]:

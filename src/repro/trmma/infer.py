@@ -1,8 +1,9 @@
 """Spark-batched trajectory recovery.
 
 ``run_recovery`` applies any *recoverer* (TRMMA or a baseline) to every
-sparse test trajectory via ``groupBy("traj_id").applyInPandas`` (the
-shared :func:`repro.mma.infer.run_per_trajectory`) — the batched
+sparse test trajectory via ``mapInPandas`` over ``traj_id``-sorted
+partitions, one Python task per Spark slot (the shared
+:func:`repro.mma.infer.run_per_trajectory`) — the batched
 dual-transformer inference over trajectory partitions named in the
 reproduction hint. A recoverer implements::
 

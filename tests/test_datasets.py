@@ -5,6 +5,7 @@ from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
 from repro.traj.datasets import CITY_PRESETS, split_of, trajs_from_pandas
+from tests.spark_jobs import run_in_job_group
 
 
 def test_presets_cover_four_cities():
@@ -54,6 +55,18 @@ def test_round_trip_to_driver(pt_city):
     assert np.array_equal(pdf["seg"].to_numpy(), tr.seg)
     rdf = pt_city.routes.filter(F.col("traj_id") == tr.traj_id).toPandas().sort_values("pos")
     assert np.array_equal(rdf["seg"].to_numpy(), tr.route)
+
+
+def test_trajs_memoised_per_split(spark, pt_city):
+    """A second ``trajs(split)`` starts no Spark job and returns a new list
+    of the same trajectories."""
+    first = pt_city.trajs("val")
+    second, jobs, _ = run_in_job_group(spark, "trajs-memo", lambda: pt_city.trajs("val"))
+    assert jobs == []
+    assert second is not first
+    assert [tr.traj_id for tr in second] == [tr.traj_id for tr in first]
+    assert all(a is b for a, b in zip(first, second))
+    assert {split_of(tr.traj_id) for tr in second} == {"val"}
 
 
 def test_observed_count_oracle(spark, pt_city):

@@ -1,5 +1,8 @@
 """Tests for Spark-batched map matching (repro.mma.infer)."""
+from dataclasses import replace
+
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -41,8 +44,9 @@ def test_route_positions_contiguous(nearest_result):
 
 
 def test_spark_matches_driver_side(spark, pt_city, nearest_result):
-    """applyInPandas results equal a direct driver-side run per trajectory:
-    segments, ratios and the stitched route."""
+    """The Spark runner's results (``mapInPandas`` over ``traj_id``-sorted
+    partitions) equal a direct driver-side run per trajectory: segments,
+    ratios and the stitched route."""
     m = NearestMatcher(pt_city.net, pt_city.index, pt_city.norm)
     trajs = pt_city.trajs("test")
     pdf = nearest_result.points.toPandas()
@@ -66,3 +70,49 @@ def test_trained_mma_through_spark(spark, pt_city):
     res = run_matcher(spark, pt_city, m, split="test")
     n_traj = pt_city.points.filter(F.col("split") == "test").select("traj_id").distinct().count()
     assert res.routes.select("traj_id").distinct().count() == n_traj
+
+
+def _sorted_rows(res):
+    return (res.points.toPandas().sort_values(["traj_id", "idx"]).reset_index(drop=True),
+            res.routes.toPandas().sort_values(["traj_id", "pos"]).reset_index(drop=True))
+
+
+def _max_batches_per_partition(df) -> int:
+    def count(batches):
+        yield pd.DataFrame({"n": [sum(1 for b in batches if len(b))]})
+
+    return int(df.mapInPandas(count, schema="n long").toPandas()["n"].max())
+
+
+def test_runner_ignores_input_layout(spark, pt_city, nearest_result):
+    """Randomly partitioned points, and partitions that arrive as several
+    Arrow batches (trajectories straddle them), give the fixture layout's
+    rows exactly."""
+    m = NearestMatcher(pt_city.net, pt_city.index, pt_city.norm)
+    want_points, want_routes = _sorted_rows(nearest_result)
+    shuffled = replace(pt_city, points=pt_city.points.repartition(5))
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    old = spark.conf.get(key)
+    try:
+        got = [_sorted_rows(run_matcher(spark, shuffled, m, split="test"))]
+        spark.conf.set(key, "7")
+        assert _max_batches_per_partition(pt_city.points.filter(F.col("split") == "test")) > 1
+        got.append(_sorted_rows(run_matcher(spark, pt_city, m, split="test")))
+    finally:
+        spark.conf.set(key, old)
+    for points, routes in got:
+        pd.testing.assert_frame_equal(points, want_points)
+        pd.testing.assert_frame_equal(routes, want_routes)
+
+
+def test_runner_with_fewer_trajectories_than_slots(spark, pt_city, nearest_result):
+    """Empty partitions yield nothing: a split cut to two trajectories,
+    spread over ``defaultParallelism`` partitions (four on a 4-core
+    host), gives exactly their rows."""
+    m = NearestMatcher(pt_city.net, pt_city.index, pt_city.norm)
+    want_points, want_routes = _sorted_rows(nearest_result)
+    keep = sorted(want_points["traj_id"].unique())[:2]
+    two = replace(pt_city, points=pt_city.points.filter(F.col("traj_id").isin(keep)))
+    points, routes = _sorted_rows(run_matcher(spark, two, m, split="test"))
+    pd.testing.assert_frame_equal(points, want_points[want_points.traj_id.isin(keep)].reset_index(drop=True))
+    pd.testing.assert_frame_equal(routes, want_routes[want_routes.traj_id.isin(keep)].reset_index(drop=True))

@@ -6,6 +6,7 @@ from pyspark.sql import functions as F
 from repro.mma.baselines import NearestMatcher
 from repro.trmma.infer import TRMMARecoverer, run_recovery
 from repro.trmma.train import train_trmma
+from tests.spark_jobs import run_in_job_group
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,8 @@ def test_ratios_valid(recovered):
 
 
 def test_spark_matches_driver_side(spark, pt_city, trmma_rec, recovered):
+    """The Spark runner's recovered ticks (``mapInPandas`` over
+    ``traj_id``-sorted partitions) equal a direct driver-side call."""
     pdf = recovered.toPandas()
     for tr in pt_city.trajs("test")[:3]:
         obs = np.where(tr.observed)[0]
@@ -46,6 +49,17 @@ def test_spark_matches_driver_side(spark, pt_city, trmma_rec, recovered):
         got = pdf[pdf.traj_id == tr.traj_id].sort_values("idx")
         assert np.array_equal(got["seg"].to_numpy(), segs)
         assert np.allclose(got["ratio"].to_numpy(), ratios)
+
+
+def test_one_python_task_per_slot(spark, pt_city, trmma_rec):
+    """One ``run_recovery`` pass runs its UDF stage (the pass's last stage)
+    as exactly ``defaultParallelism`` tasks, one wave over the slots, not
+    one task per input partition or per trajectory group."""
+    _, jobs, stages = run_in_job_group(
+        spark, "recovery-pass", lambda: run_recovery(spark, pt_city, trmma_rec, split="test").collect())
+    assert jobs
+    udf_stage = max((s for s in stages if s.numCompletedTasks), key=lambda s: s.stageId)
+    assert udf_stage.numTasks == spark.sparkContext.defaultParallelism
 
 
 def test_end_to_end_beats_random(spark, pt_city, recovered):
