@@ -18,9 +18,11 @@ Note on formulas: the paper's printed Recall/Precision in §VI-A are swapped
 relative to convention; we use the conventional direction
 (``precision = |S∩Ŝ|/|S_pred|``, ``recall = |S∩Ŝ|/|S_gt|``) for both tasks.
 Final per-dataset numbers are the mean of per-trajectory scores, exactly as
-the paper averages over testing trajectories.
+the paper averages over testing trajectories (:func:`aggregate_means`).
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pandas as pd
@@ -126,6 +128,11 @@ def route_metrics_per_traj(pred_routes: DataFrame, gt_routes: DataFrame) -> Data
 
 
 def aggregate_means(per_traj: DataFrame, cols: list[str]) -> dict[str, float]:
-    """Dataset-level score = mean of per-trajectory scores (§VI-A)."""
-    row = per_traj.agg(*[F.avg(c).alias(c) for c in cols]).collect()[0]
-    return {c: float(row[c]) for c in cols}
+    """Dataset-level score = mean of per-trajectory scores (§VI-A).
+
+    The columns are collected to the driver and summed with ``math.fsum``,
+    which is correctly rounded, so the means do not depend on the frame's
+    row order or partition layout (Spark's ``avg`` sums in partition
+    order)."""
+    pdf = per_traj.select(*cols).toPandas()
+    return {c: math.fsum(pdf[c].tolist()) / len(pdf) for c in cols}

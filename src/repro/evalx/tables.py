@@ -109,44 +109,24 @@ def table_markdown(data: dict, metrics: list[str]) -> str:
 # Table II — dataset statistics
 # ---------------------------------------------------------------------------
 def table2_city(city: CityData) -> dict:
-    """Dataset statistics via Spark SQL (Table II rows)."""
-    pts = city.points
-    per_traj = pts.groupBy("traj_id").agg(
-        F.count("*").alias("n_points"),
-        F.max("t").alias("travel_time"),
-    )
-    agg = per_traj.agg(
-        F.count("*").alias("n_traj"),
-        F.avg("n_points").alias("avg_points"),
-        F.avg("travel_time").alias("avg_travel_time"),
-    ).collect()[0]
-    # trajectory length via consecutive true-point distances (window lead)
+    """Dataset statistics (Table II rows): one per-trajectory frame in Spark
+    SQL (point count, travel time, and length as the sum of consecutive
+    true-point distances), averaged by :func:`aggregate_means`."""
     win = Window.partitionBy("traj_id").orderBy("idx")
-    seglen = (
-        pts.select(
-            "traj_id",
-            "tx",
-            "ty",
-            F.lead("tx").over(win).alias("nx"),
-            F.lead("ty").over(win).alias("ny"),
-        )
-        .where(F.col("nx").isNotNull())
-        .select(
-            "traj_id",
-            F.sqrt((F.col("tx") - F.col("nx")) ** 2 + (F.col("ty") - F.col("ny")) ** 2).alias("d"),
-        )
+    step = F.sqrt((F.lead("tx").over(win) - F.col("tx")) ** 2 + (F.lead("ty").over(win) - F.col("ty")) ** 2)
+    per_traj = (
+        city.points.select("traj_id", "t", step.alias("d"))
         .groupBy("traj_id")
-        .agg(F.sum("d").alias("len"))
-        .agg(F.avg("len").alias("avg_len"))
-        .collect()[0]
+        .agg(F.count("*").alias("n_points"), F.max("t").alias("travel_time"), F.sum("d").alias("length"))
     )
+    means = aggregate_means(per_traj, ["n_points", "length", "travel_time"])
     x0, y0, x1, y1 = city.net.bbox()
     return {
-        "n_trajectories": int(agg["n_traj"]),
+        "n_trajectories": len(city.trajectories),
         "eps_s": city.eps,
-        "avg_points": float(agg["avg_points"]),
-        "avg_length_m": float(seglen["avg_len"]),
-        "avg_travel_time_s": float(agg["avg_travel_time"]),
+        "avg_points": means["n_points"],
+        "avg_length_m": means["length"],
+        "avg_travel_time_s": means["travel_time"],
         "area_km2": f"{(x1 - x0) / 1000:.1f} x {(y1 - y0) / 1000:.1f}",
         "n_segments": city.net.n_segments,
         "n_intersections": city.net.n_nodes,
@@ -188,8 +168,9 @@ def table5_city(spark: SparkSession, city: CityData, seed: int = 0, epochs: int 
     matchers = matchers or build_matchers(city, seed=seed, epochs=epochs, verbose=verbose)
     out = {}
     for name, m in matchers.items():
-        res = run_matcher(spark, city, m, split="test", costs=costs)
+        res = run_matcher(spark, city, m, costs=costs)
         out[name] = aggregate_means(route_metrics_per_traj(res.routes, gt), ROUTE_METRIC_COLS)
+        res.unpersist()
     return out
 
 
@@ -229,7 +210,7 @@ def _recovery_table(spark: SparkSession, city: CityData, recoverers: dict, metri
     gt = gt_recovery_frame(city)
     out = {}
     for name, rec in recoverers.items():
-        pred = run_recovery(spark, city, rec, split="test")
+        pred = run_recovery(spark, city, rec)
         out[name] = aggregate_means(recovery_metrics_per_traj(spark, pred, gt, city.net), metrics)
         if verbose:
             print(f"[{tag}:{city.name}] {name}: {out[name]}")

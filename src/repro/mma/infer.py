@@ -32,10 +32,16 @@ _COMBINED_SCHEMA = "traj_id long, kind string, ord long, idx long, seg long, rat
 
 @dataclass
 class MatchResult:
-    """Matched points + stitched routes for one (matcher, split)."""
+    """Matched points + stitched routes of one matcher over the test split,
+    both read from one cached pass."""
 
     points: DataFrame  # traj_id, idx, seg, ratio
     routes: DataFrame  # traj_id, pos, seg
+    combined: DataFrame  # the cached pass (_COMBINED_SCHEMA)
+
+    def unpersist(self) -> None:
+        """Drop the cached pass once ``points`` and ``routes`` are read."""
+        self.combined.unpersist()
 
 
 def match_and_stitch(matcher, xs, ys, ts, t0, costs):
@@ -54,12 +60,12 @@ def match_and_stitch(matcher, xs, ys, ts, t0, costs):
     return segs, ratios, route
 
 
-def run_per_trajectory(spark: SparkSession, city: CityData, split: str, env, fn, schema: str) -> DataFrame:
+def run_per_trajectory(spark: SparkSession, city: CityData, env, fn, schema: str) -> DataFrame:
     """``fn(env, traj_id, idxs, xs, ys, ts, t0) -> pd.DataFrame`` applied to
-    the observed points of every trajectory of a split, in ``idx`` order,
+    the observed points of every test trajectory, in ``idx`` order,
     through :func:`repro.traj.datasets.map_trajectories` with output
     ``schema``; ``env`` is broadcast once."""
-    obs = city.points.filter((F.col("split") == split) & F.col("observed"))
+    obs = city.points.filter((F.col("split") == "test") & F.col("observed"))
     bc = spark.sparkContext.broadcast(env)
 
     def per_traj(tid, pdf):
@@ -104,19 +110,14 @@ def _matched_frame(env, tid, idxs, xs, ys, ts, t0) -> pd.DataFrame:
     return pd.concat([prow, rrow], ignore_index=True)
 
 
-def run_matcher(
-    spark: SparkSession,
-    city: CityData,
-    matcher,
-    split: str = "test",
-    costs: np.ndarray | None = None,
-) -> MatchResult:
-    """Run a matcher over every sparse trajectory of a split (see module
+def run_matcher(spark: SparkSession, city: CityData, matcher, costs: np.ndarray | None = None) -> MatchResult:
+    """Run a matcher over every sparse test trajectory (see module
     docstring). ``costs`` are the historical routing costs used to stitch
-    gaps (Alg. 1 line 12); defaults to plain shortest path."""
-    combined = run_per_trajectory(spark, city, split, (matcher, costs), _matched_frame, _COMBINED_SCHEMA).cache()
+    gaps (Alg. 1 line 12); defaults to plain shortest path. The pass is
+    cached until :meth:`MatchResult.unpersist`."""
+    combined = run_per_trajectory(spark, city, (matcher, costs), _matched_frame, _COMBINED_SCHEMA).cache()
     points = combined.filter(F.col("kind") == "point").select("traj_id", "idx", "seg", "ratio")
     routes = combined.filter(F.col("kind") == "route").select(
         "traj_id", F.col("ord").alias("pos"), "seg"
     )
-    return MatchResult(points=points, routes=routes)
+    return MatchResult(points=points, routes=routes, combined=combined)

@@ -1,8 +1,8 @@
 """Driver-side training for MMA (Eq. (10) objective).
 
-Training data comes out of the city's Spark ``points`` DataFrame (train
-split, observed points only → driver via Arrow ``toPandas``), is
-featureised once, then optimised by :func:`repro.nn.optim.fit` (Adam over
+Training data is the train split's observed points, read from the city's
+driver-side trajectories (:meth:`repro.traj.datasets.CityData.trajs`, no
+Spark job), featureised once, then optimised by :func:`repro.nn.optim.fit` (Adam over
 shuffled mini-batches of trajectories). Models are small (d≈32) and sparse
 trajectories short, so the numpy loop trains each city in seconds at bench
 scale.

@@ -1,7 +1,7 @@
-"""The four synthetic city datasets (PT/XA/BJ/CD analogues) as Spark
-DataFrames, plus helpers to round-trip trajectories between the DataFrame
-representation and the driver-side :class:`repro.traj.generate.Trajectory`
-objects used by the numpy training loops.
+"""The four synthetic city datasets (PT/XA/BJ/CD analogues): the
+driver-side :class:`repro.traj.generate.Trajectory` objects a city is
+simulated as (what the numpy training loops read), and the same rows as
+Spark DataFrames laid out by ``traj_id`` (what the Spark passes read).
 
 Presets are calibrated to the paper's Table II shape at ~1:10 scale:
 relative network sizes (BJ largest), ε sampling rates (BJ coarsest), trip
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.roadnet.generate import make_city
 from repro.roadnet.graph import RoadNetwork
@@ -50,8 +49,9 @@ def split_of(traj_id: int) -> str:
 
 @dataclass
 class CityData:
-    """One city's substrate + data: road network, spatial index, Spark
-    DataFrames, and normalisation constants for model features."""
+    """One city's substrate + data: road network, spatial index, the
+    simulated trajectories and the same rows as Spark DataFrames, and
+    normalisation constants for model features."""
 
     name: str
     net: RoadNetwork
@@ -61,17 +61,20 @@ class CityData:
     points: DataFrame  # one row per ε-tick point (GT + noisy observation)
     routes: DataFrame  # one row per route segment
     norm: dict  # x0/x1/y0/y1 bbox used for min-max feature scaling
-    _trajs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    trajectories: list[Trajectory] = field(repr=False)  # in traj_id order; never mutated
 
     def trajs(self, split: str | None = None) -> list[Trajectory]:
-        """Trajectories of a split as driver-side objects, collected through
-        Spark on the first call per split. Later calls return a new list of
-        the same (never mutated) objects."""
-        if split not in self._trajs:
-            pts = self.points if split is None else self.points.filter(F.col("split") == split)
-            rts = self.routes if split is None else self.routes.filter(F.col("split") == split)
-            self._trajs[split] = trajs_from_pandas(pts.toPandas(), rts.toPandas())
-        return list(self._trajs[split])
+        """The trajectories of a split (all of them for ``None``), as a new
+        list over the same objects; no Spark job."""
+        return [tr for tr in self.trajectories if split is None or split_of(tr.traj_id) == split]
+
+
+def by_traj_id(df: DataFrame) -> DataFrame:
+    """``df`` hash-partitioned by ``traj_id`` into one partition per Spark
+    slot (``defaultParallelism``): the layout :func:`build_city` caches and
+    :func:`map_trajectories` runs on, so a pass over a city's cached frames
+    needs no shuffle."""
+    return df.repartition(df.sparkSession.sparkContext.defaultParallelism, "traj_id")
 
 
 def map_trajectories(df: DataFrame, fn, schema: str) -> DataFrame:
@@ -79,14 +82,13 @@ def map_trajectories(df: DataFrame, fn, schema: str) -> DataFrame:
     of ``df`` (which has ``traj_id`` and ``idx`` columns), in ``idx`` order,
     with output ``schema``.
 
-    The rows are hash-partitioned by ``traj_id`` into one partition per
-    Spark slot (``defaultParallelism``) and sorted within each, so a pass
-    is one wave of one Python task per slot, whatever the input's layout.
+    The rows are laid out by :func:`by_traj_id` and sorted within each
+    partition, so a pass is one wave of one Python task per slot, whatever
+    the input's layout; Spark drops the repartition when the input already
+    has that layout (a city's cached frames do).
     Each task concatenates its partition's Arrow batches (a trajectory may
     straddle two), cuts them where ``traj_id`` changes, and yields one frame.
     """
-    parts = df.sparkSession.sparkContext.defaultParallelism
-
     def per_partition(batches):
         frames = [b for b in batches if len(b)]
         if not frames:
@@ -97,7 +99,7 @@ def map_trajectories(df: DataFrame, fn, schema: str) -> DataFrame:
         yield pd.concat([fn(int(tids[a]), pdf.iloc[a:b]) for a, b in zip(cuts[:-1], cuts[1:])],
                         ignore_index=True)
 
-    return (df.repartition(parts, "traj_id").sortWithinPartitions("traj_id", "idx")
+    return (by_traj_id(df).sortWithinPartitions("traj_id", "idx")
             .mapInPandas(per_partition, schema=schema))
 
 
@@ -142,33 +144,6 @@ def trajectories_to_frames(trajs: list[Trajectory], city: str) -> tuple[pd.DataF
     return pd.concat(prows, ignore_index=True), pd.concat(rrows, ignore_index=True)
 
 
-def trajs_from_pandas(points: pd.DataFrame, routes: pd.DataFrame) -> list[Trajectory]:
-    """Inverse of :func:`trajectories_to_frames` (order-insensitive)."""
-    out = []
-    routes_by_id = {tid: g.sort_values("pos")["seg"].to_numpy(np.int64)
-                    for tid, g in routes.groupby("traj_id")}
-    for tid, g in points.groupby("traj_id"):
-        g = g.sort_values("idx")
-        out.append(
-            Trajectory(
-                traj_id=int(tid),
-                route=routes_by_id[tid],
-                t=g["t"].to_numpy(np.float64),
-                t0=float(g["t0"].iloc[0]),
-                seg=g["seg"].to_numpy(np.int64),
-                route_pos=g["route_pos"].to_numpy(np.int64),
-                ratio=g["ratio"].to_numpy(np.float64),
-                tx=g["tx"].to_numpy(np.float64),
-                ty=g["ty"].to_numpy(np.float64),
-                x=g["x"].to_numpy(np.float64),
-                y=g["y"].to_numpy(np.float64),
-                observed=g["observed"].to_numpy(bool),
-            )
-        )
-    out.sort(key=lambda tr: tr.traj_id)
-    return out
-
-
 def preset_trajectories(net: RoadNetwork, city: str, n: int, gamma: float, seed: int,
                         outlier_p: float) -> list[Trajectory]:
     """``n`` trajectories simulated on ``net`` with city preset ``city``'s
@@ -189,7 +164,9 @@ def build_city(
     gamma: float = 0.1,
     seed: int = 0,
 ) -> CityData:
-    """Generate a city dataset deterministically and wrap it in Spark.
+    """Generate a city dataset deterministically: the simulated trajectories
+    and their ``points``/``routes`` frames, cached in :func:`by_traj_id`'s
+    layout.
 
     ``gamma`` is the sparsity ratio of §VI-A (default 0.1 ⇒ sparse interval
     10× the ε rate); ``seed`` offsets the trajectory RNG so tests and
@@ -200,9 +177,8 @@ def build_city(
                     one_way_p=p["one_way_p"], seed=p["net_seed"])
     trajs = preset_trajectories(net, city, n_traj, gamma, p["net_seed"] * 1000 + seed, 0.03)
     points_pd, routes_pd = trajectories_to_frames(trajs, city)
-    parts = max(2, min(16, n_traj // 50))
-    points = spark.createDataFrame(points_pd).repartition(parts, "traj_id").cache()
-    routes = spark.createDataFrame(routes_pd).repartition(parts, "traj_id").cache()
+    points = by_traj_id(spark.createDataFrame(points_pd)).cache()
+    routes = by_traj_id(spark.createDataFrame(routes_pd)).cache()
     x0, y0, x1, y1 = net.bbox()
     return CityData(
         name=city,
@@ -213,4 +189,5 @@ def build_city(
         points=points,
         routes=routes,
         norm={"x0": x0, "x1": x1, "y0": y0, "y1": y1},
+        trajectories=trajs,
     )

@@ -67,13 +67,8 @@ def _recovered_frame(rec, tid, idxs, xs, ys, ts, t0) -> pd.DataFrame:
     )
 
 
-def run_recovery(
-    spark: SparkSession,
-    city: CityData,
-    recoverer,
-    split: str = "test",
-) -> DataFrame:
-    """Recovered ``T_ε`` for every trajectory of a split:
+def run_recovery(spark: SparkSession, city: CityData, recoverer) -> DataFrame:
+    """Recovered ``T_ε`` for every test trajectory:
     (traj_id, idx, seg, ratio) with one row per ε tick."""
-    return run_per_trajectory(spark, city, split, recoverer, _recovered_frame,
+    return run_per_trajectory(spark, city, recoverer, _recovered_frame,
                               "traj_id long, idx long, seg long, ratio double")

@@ -1,10 +1,12 @@
 """Tests for the Spark city datasets (schemas, splits, round-trips)."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
-from repro.traj.datasets import CITY_PRESETS, split_of, trajs_from_pandas
+from repro.traj.datasets import CITY_PRESETS, SPLIT_NAMES, split_of
 from tests.spark_jobs import run_in_job_group
 
 
@@ -47,26 +49,37 @@ def test_split_fractions(pt_city):
 
 
 def test_round_trip_to_driver(pt_city):
-    trajs = pt_city.trajs("test")
-    assert len(trajs) > 0
-    tr = trajs[0]
-    pdf = pt_city.points.filter(F.col("traj_id") == tr.traj_id).toPandas().sort_values("idx")
-    assert np.allclose(pdf["x"].to_numpy(), tr.x)
-    assert np.array_equal(pdf["seg"].to_numpy(), tr.seg)
-    rdf = pt_city.routes.filter(F.col("traj_id") == tr.traj_id).toPandas().sort_values("pos")
-    assert np.array_equal(rdf["seg"].to_numpy(), tr.route)
+    """The cached frames hold exactly the driver-side trajectories: every
+    point column, ``t0`` and the route, in ``idx``/``pos`` order."""
+    trajs = pt_city.trajs()
+    pts = pt_city.points.toPandas().sort_values(["traj_id", "idx"])
+    rts = pt_city.routes.toPandas().sort_values(["traj_id", "pos"])
+    assert [tr.traj_id for tr in trajs] == list(range(60))
+    assert sorted(pts["traj_id"].unique()) == sorted(rts["traj_id"].unique()) == list(range(60))
+    for tr, (tid, g) in zip(trajs, pts.groupby("traj_id")):
+        assert tid == tr.traj_id
+        assert np.array_equal(g["idx"].to_numpy(), np.arange(len(tr.t)))
+        for col in ("t", "x", "y", "tx", "ty", "seg", "route_pos", "ratio", "observed"):
+            assert np.array_equal(g[col].to_numpy(), getattr(tr, col)), col
+        assert (g["t0"] == tr.t0).all()
+        assert set(g["split"]) == {split_of(tr.traj_id)}
+        assert np.array_equal(rts.loc[rts.traj_id == tid, "seg"].to_numpy(), tr.route)
 
 
-def test_trajs_memoised_per_split(spark, pt_city):
-    """A second ``trajs(split)`` starts no Spark job and returns a new list
-    of the same trajectories."""
-    first = pt_city.trajs("val")
-    second, jobs, _ = run_in_job_group(spark, "trajs-memo", lambda: pt_city.trajs("val"))
+def test_trajs_start_no_spark_job(spark, pt_city):
+    """Even the first ``trajs(split)`` of a city starts no Spark job; each
+    call returns a new list of that split's trajectories, and the splits
+    partition ``trajs()``."""
+    fresh = replace(pt_city)
+    got, jobs, _ = run_in_job_group(
+        spark, "trajs-driver", lambda: {name: fresh.trajs(name) for name in SPLIT_NAMES})
     assert jobs == []
-    assert second is not first
-    assert [tr.traj_id for tr in second] == [tr.traj_id for tr in first]
-    assert all(a is b for a, b in zip(first, second))
-    assert {split_of(tr.traj_id) for tr in second} == {"val"}
+    for name, trajs in got.items():
+        assert trajs and {split_of(tr.traj_id) for tr in trajs} == {name}
+        assert fresh.trajs(name) is not trajs
+    everything = fresh.trajs()
+    assert sorted(tr.traj_id for trajs in got.values() for tr in trajs) == [tr.traj_id for tr in everything]
+    assert {id(tr) for trajs in got.values() for tr in trajs} == {id(tr) for tr in everything}
 
 
 def test_observed_count_oracle(spark, pt_city):

@@ -64,13 +64,24 @@ def test_aggregate_means_matches_duckdb(spark, net_small, tiny_frames):
     per = recovery_metrics_per_traj(spark, half, gt, net_small)
     per.cache()
     means = aggregate_means(per, RECOVERY_METRIC_COLS)
-    agg = per.agg(*[F.avg(c).alias(c) for c in RECOVERY_METRIC_COLS])
     assert_equivalent(
-        agg,
+        spark.createDataFrame([means]),
         "SELECT " + ", ".join(f"AVG({c}) AS {c}" for c in RECOVERY_METRIC_COLS) + " FROM per",
         per=per,
     )
     assert means["accuracy"] == pytest.approx((2 / 3 + 1.0) / 2)
+
+
+def test_aggregate_means_ignore_layout(spark):
+    """The same per-trajectory rows give bit-identical means however they
+    are partitioned."""
+    rng = np.random.default_rng(7)
+    pdf = pd.DataFrame({"traj_id": np.arange(1000), "a": rng.random(1000) * 1e3, "b": rng.standard_normal(1000)})
+    per = spark.createDataFrame(pdf)
+    one = aggregate_means(per.repartition(1), ["a", "b"])
+    seven = aggregate_means(per.repartition(7), ["a", "b"])
+    assert one == seven
+    assert one["a"] == pytest.approx(pdf["a"].mean(), rel=1e-12)
 
 
 def test_route_metrics_known_values(spark):

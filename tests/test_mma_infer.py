@@ -13,7 +13,7 @@ from repro.mma.infer import match_and_stitch, run_matcher
 @pytest.fixture(scope="module")
 def nearest_result(spark, pt_city):
     m = NearestMatcher(pt_city.net, pt_city.index, pt_city.norm)
-    res = run_matcher(spark, pt_city, m, split="test")
+    res = run_matcher(spark, pt_city, m)
     res.points.cache()
     res.routes.cache()
     return res
@@ -67,7 +67,7 @@ def test_trained_mma_through_spark(spark, pt_city):
 
     model = train_mma(pt_city, epochs=1, d=16)
     m = MMAMatcher(pt_city.net, pt_city.index, pt_city.norm, model)
-    res = run_matcher(spark, pt_city, m, split="test")
+    res = run_matcher(spark, pt_city, m)
     n_traj = pt_city.points.filter(F.col("split") == "test").select("traj_id").distinct().count()
     assert res.routes.select("traj_id").distinct().count() == n_traj
 
@@ -94,10 +94,10 @@ def test_runner_ignores_input_layout(spark, pt_city, nearest_result):
     key = "spark.sql.execution.arrow.maxRecordsPerBatch"
     old = spark.conf.get(key)
     try:
-        got = [_sorted_rows(run_matcher(spark, shuffled, m, split="test"))]
+        got = [_sorted_rows(run_matcher(spark, shuffled, m))]
         spark.conf.set(key, "7")
         assert _max_batches_per_partition(pt_city.points.filter(F.col("split") == "test")) > 1
-        got.append(_sorted_rows(run_matcher(spark, pt_city, m, split="test")))
+        got.append(_sorted_rows(run_matcher(spark, pt_city, m)))
     finally:
         spark.conf.set(key, old)
     for points, routes in got:
@@ -113,6 +113,25 @@ def test_runner_with_fewer_trajectories_than_slots(spark, pt_city, nearest_resul
     want_points, want_routes = _sorted_rows(nearest_result)
     keep = sorted(want_points["traj_id"].unique())[:2]
     two = replace(pt_city, points=pt_city.points.filter(F.col("traj_id").isin(keep)))
-    points, routes = _sorted_rows(run_matcher(spark, two, m, split="test"))
+    points, routes = _sorted_rows(run_matcher(spark, two, m))
     pd.testing.assert_frame_equal(points, want_points[want_points.traj_id.isin(keep)].reset_index(drop=True))
     pd.testing.assert_frame_equal(routes, want_routes[want_routes.traj_id.isin(keep)].reset_index(drop=True))
+
+
+def test_match_result_unpersist_frees_the_pass(spark, pt_city):
+    """Three Table V-style rounds (match, score, ``unpersist``) leave as
+    many cached RDDs as there were before them."""
+    from repro.evalx.metrics import aggregate_means, route_metrics_per_traj
+
+    m = NearestMatcher(pt_city.net, pt_city.index, pt_city.norm)
+    gt = pt_city.routes.filter(F.col("split") == "test").select("traj_id", "seg")
+
+    def cached_rdds():
+        return len(spark.sparkContext._jsc.sc().getRDDStorageInfo())
+
+    before = cached_rdds()
+    for _ in range(3):
+        res = run_matcher(spark, pt_city, m)
+        aggregate_means(route_metrics_per_traj(res.routes, gt), ["f1"])
+        res.unpersist()
+    assert cached_rdds() == before

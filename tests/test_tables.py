@@ -1,7 +1,6 @@
 """Integration tests for the table harnesses (small configurations)."""
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
 from repro.evalx.tables import (
     PAPER_TABLE2,
@@ -30,15 +29,21 @@ def test_table2_city_values(spark, pt_city):
 
 
 def test_table2_oracle_check(spark, pt_city):
-    got = pt_city.points.groupBy("traj_id").agg(
-        F.count("*").alias("n_points"), F.max("t").alias("travel_time")
-    ).agg(
-        F.avg("n_points").alias("avg_points"), F.avg("travel_time").alias("avg_tt")
-    )
+    """``table2_city``'s own numbers, re-derived in DuckDB from the points."""
+    stats = table2_city(pt_city)
+    cols = ["n_trajectories", "avg_points", "avg_length_m", "avg_travel_time_s"]
     assert_equivalent(
-        got,
-        "SELECT AVG(n) AS avg_points, AVG(tt) AS avg_tt FROM ("
-        "SELECT traj_id, COUNT(*) n, MAX(t) tt FROM points GROUP BY traj_id)",
+        spark.createDataFrame([{c: float(stats[c]) for c in cols}]),
+        """
+        WITH steps AS (
+            SELECT traj_id, t,
+                   SQRT((LEAD(tx) OVER w - tx) ** 2 + (LEAD(ty) OVER w - ty) ** 2) AS d
+            FROM points WINDOW w AS (PARTITION BY traj_id ORDER BY idx)),
+        per AS (SELECT traj_id, COUNT(*) AS n, MAX(t) AS tt, SUM(d) AS len FROM steps GROUP BY traj_id)
+        SELECT COUNT(*) AS n_trajectories, AVG(n) AS avg_points, AVG(len) AS avg_length_m,
+               AVG(tt) AS avg_travel_time_s
+        FROM per
+        """,
         points=pt_city.points,
     )
 
