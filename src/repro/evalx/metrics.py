@@ -1,18 +1,21 @@
 """§VI-A evaluation metrics in Spark.
 
-Two families:
+Both families score each trajectory in one pass (:func:`_score_per_traj`):
+prediction and ground-truth rows are tagged with their side, unioned, and
+handed per trajectory to a scorer in ``mapInPandas`` over ``traj_id``-sorted
+partitions (:func:`repro.traj.datasets.map_trajectories`). The ground-truth
+side defines the trajectories scored; one that only the prediction holds
+yields no row. Set metrics come from the one formula, :func:`set_scores`.
+Recovery scores the ticks both sides hold (see
+:func:`recovery_metrics_per_traj`).
 
 * **Trajectory recovery** (Table III): per-trajectory Recall / Precision /
   F1 over recovered segment sets, point-wise Accuracy, and MAE / RMSE of the
   road-network distance between recovered and ground-truth map-matched
-  points. Network distances need the road graph, so the per-trajectory pass
-  runs in ``mapInPandas`` over ``traj_id``-sorted partitions
-  (:func:`repro.traj.datasets.map_trajectories`) with the
-  :class:`repro.roadnet.graph.RoadNetwork` shipped via a Spark broadcast
-  and a per-worker Dijkstra cache.
+  points, with the :class:`repro.roadnet.graph.RoadNetwork` shipped via a
+  Spark broadcast and a per-worker Dijkstra cache.
 * **Map matching** (Table V): per-trajectory Precision / Recall / F1 /
-  Jaccard over route segment sets, expressed in pure Spark SQL (distinct +
-  joins + aggregation).
+  Jaccard over route segment sets.
 
 Note on formulas: the paper's printed Recall/Precision in §VI-A are swapped
 relative to convention; we use the conventional direction
@@ -37,6 +40,37 @@ from repro.traj.datasets import map_trajectories
 RECOVERY_METRIC_COLS = ["recall", "precision", "f1", "accuracy", "mae", "rmse"]
 
 
+def set_scores(pred_segs, gt_segs) -> tuple[float, float, float, float]:
+    """``(precision, recall, f1, jaccard)`` of the predicted segments against
+    the (non-empty) ground-truth ones; duplicates are ignored, and an empty
+    prediction scores 0 on all four."""
+    p, g = set(pred_segs), set(gt_segs)
+    n_int = len(p & g)
+    precision = n_int / max(len(p), 1)
+    recall = n_int / len(g)
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f1, n_int / (len(p) + len(g) - n_int)
+
+
+def _score_per_traj(pred: DataFrame, gt: DataFrame, cols: list, score, out_cols: list[str]) -> DataFrame:
+    """``score(pred_rows, gt_rows)`` -> the ``out_cols`` values of one
+    trajectory (or ``None`` for no row), for every trajectory ``gt`` holds,
+    in one :func:`map_trajectories` pass over the tagged union of ``pred``
+    and ``gt`` (``traj_id`` plus ``cols``, which must include an ``idx``)."""
+    both = (pred.select("traj_id", *cols, F.lit(False).alias("is_gt"))
+            .unionByName(gt.select("traj_id", *cols, F.lit(True).alias("is_gt"))))
+    header = ["traj_id", *out_cols]
+    none = pd.DataFrame({c: np.zeros(0, np.int64 if c == "traj_id" else np.float64) for c in header})
+
+    def per_traj(tid, pdf):
+        is_gt = pdf["is_gt"].to_numpy()
+        row = score(pdf[~is_gt], pdf[is_gt]) if is_gt.any() else None
+        return none if row is None else pd.DataFrame([(tid, *row)], columns=header)
+
+    schema = ", ".join(f"{c} {'long' if c == 'traj_id' else 'double'}" for c in header)
+    return map_trajectories(both, per_traj, schema)
+
+
 def recovery_metrics_per_traj(
     spark: SparkSession,
     pred: DataFrame,
@@ -47,84 +81,42 @@ def recovery_metrics_per_traj(
 
     ``pred`` columns: traj_id, idx, seg, ratio — one row per ε tick.
     ``gt`` columns: traj_id, idx, seg, ratio (the ground-truth ``T_ε``).
-    Ticks are aligned on (traj_id, idx); an inner join drops nothing when
-    the recovery harness emits every tick, and tests assert the counts.
+    Ticks align on ``idx``, and only the ticks both sides hold are scored
+    (an inner merge inside the trajectory's task); a trajectory with no
+    such tick yields no row. A matcher's prediction holds only the
+    observed ticks, so it is scored on those.
     """
     bc = spark.sparkContext.broadcast(net)
-    joined = (
-        pred.select("traj_id", "idx", F.col("seg").alias("pseg"), F.col("ratio").alias("pratio"))
-        .join(
-            gt.select("traj_id", "idx", F.col("seg").alias("gseg"), F.col("ratio").alias("gratio")),
-            on=["traj_id", "idx"],
-        )
-    )
+    cols = ["idx", "seg", "ratio"]
 
-    schema = (
-        "traj_id long, recall double, precision double, f1 double, "
-        "accuracy double, mae double, rmse double"
-    )
-
-    def per_traj(tid, pdf):
+    def scores(p, g):
+        m = p[cols].merge(g[cols], on="idx", suffixes=("_p", "_g"))
+        if m.empty:
+            return None
         nd = network_distance_for(bc.value)
-        ps = pdf["pseg"].to_numpy(np.int64)
-        gs = pdf["gseg"].to_numpy(np.int64)
-        pr = pdf["pratio"].to_numpy(np.float64)
-        gr = pdf["gratio"].to_numpy(np.float64)
-        sp, sg = set(ps.tolist()), set(gs.tolist())
-        inter = len(sp & sg)
-        prec = inter / len(sp)
-        rec = inter / len(sg)
-        f1 = 0.0 if prec + rec == 0 else 2 * prec * rec / (prec + rec)
-        acc = float((ps == gs).mean())
-        d = np.array([nd.dist(int(a), float(b), int(c), float(e)) for a, b, c, e in zip(ps, pr, gs, gr)])
-        return pd.DataFrame(
-            {
-                "traj_id": [tid],
-                "recall": [rec],
-                "precision": [prec],
-                "f1": [f1],
-                "accuracy": [acc],
-                "mae": [float(np.abs(d).mean())],
-                "rmse": [float(np.sqrt((d**2).mean()))],
-            }
-        )
+        prec, rec, f1, _ = set_scores(m["seg_p"].tolist(), m["seg_g"].tolist())
+        d = np.array([nd.dist(int(a), float(b), int(c), float(e))
+                      for a, b, c, e in zip(m["seg_p"], m["ratio_p"], m["seg_g"], m["ratio_g"])])
+        acc = float((m["seg_p"] == m["seg_g"]).mean())
+        return rec, prec, f1, acc, float(np.abs(d).mean()), float(np.sqrt((d**2).mean()))
 
-    return map_trajectories(joined, per_traj, schema)
+    return _score_per_traj(pred, gt, cols, scores, RECOVERY_METRIC_COLS)
 
 
 def route_metrics_per_traj(pred_routes: DataFrame, gt_routes: DataFrame) -> DataFrame:
-    """Per-trajectory map-matching metrics (Table V) in pure Spark SQL.
+    """Per-trajectory map-matching metrics (Table V).
 
     ``pred_routes``/``gt_routes`` columns: traj_id, seg (position order is
-    irrelevant for set metrics). Trajectories missing from ``pred_routes``
-    score zero precision/recall (outer join from the GT side).
+    irrelevant for set metrics). A trajectory missing from ``pred_routes``
+    scores zero.
     """
-    p = pred_routes.select("traj_id", "seg").distinct()
-    g = gt_routes.select("traj_id", "seg").distinct()
-    np_ = p.groupBy("traj_id").agg(F.count("*").alias("n_pred"))
-    ng = g.groupBy("traj_id").agg(F.count("*").alias("n_gt"))
-    ni = (
-        p.join(g, on=["traj_id", "seg"])
-        .groupBy("traj_id")
-        .agg(F.count("*").alias("n_int"))
-    )
-    out = (
-        ng.join(np_, on="traj_id", how="left")
-        .join(ni, on="traj_id", how="left")
-        .fillna(0, subset=["n_pred", "n_int"])
-        .select(
-            "traj_id",
-            (F.col("n_int") / F.greatest(F.col("n_pred"), F.lit(1))).alias("precision"),
-            (F.col("n_int") / F.col("n_gt")).alias("recall"),
-            (F.col("n_int") / (F.col("n_pred") + F.col("n_gt") - F.col("n_int"))).alias("jaccard"),
-        )
-    )
-    return out.withColumn(
-        "f1",
-        F.when(F.col("precision") + F.col("recall") > 0,
-               2 * F.col("precision") * F.col("recall") / (F.col("precision") + F.col("recall"))
-               ).otherwise(F.lit(0.0)),
-    )
+    def scores(p, g):
+        precision, recall, f1, jaccard = set_scores(p["seg"].tolist(), g["seg"].tolist())
+        return precision, recall, jaccard, f1
+
+    # routes carry no tick index; a constant one meets map_trajectories' sort
+    return _score_per_traj(pred_routes, gt_routes, ["seg", F.lit(0).alias("idx")], scores,
+                           ["precision", "recall", "jaccard", "f1"])
 
 
 def aggregate_means(per_traj: DataFrame, cols: list[str]) -> dict[str, float]:

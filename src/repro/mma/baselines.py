@@ -377,14 +377,10 @@ class MMAMatcher:
 
     name = "MMA"
 
-    def __init__(self, net, index, norm, model, use_direction: bool = True):
+    def __init__(self, net, index, norm, model):
         self.net, self.index, self.norm = net, index, norm
         self.model = model
-        self.use_direction = use_direction
 
     def match(self, xs, ys, ts, t0) -> np.ndarray:
-        s = build_mma_sample(
-            self.net, self.index, np.asarray(xs), np.asarray(ys), np.asarray(ts), t0,
-            self.norm, use_direction=self.use_direction,
-        )
+        s = build_mma_sample(self.net, self.index, np.asarray(xs), np.asarray(ys), np.asarray(ts), t0, self.norm)
         return self.model.predict(s)

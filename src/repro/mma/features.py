@@ -54,12 +54,12 @@ def candidate_features(
     xs: np.ndarray,
     ys: np.ndarray,
     k_c: int = K_C,
-    use_direction: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate ids, features and mask for a point sequence.
 
-    Returns ``(cand (ℓ,k), feats (ℓ,k,6), mask (ℓ,k))``; ``use_direction``
-    False zeroes the four cosines (the -DI ablation).
+    Returns ``(cand (ℓ,k), feats (ℓ,k,6), mask (ℓ,k))``; feature columns
+    0–3 are the four cosines (which the -DI model ignores, see
+    :class:`repro.mma.model.MMAModel`), 4 the distance and 5 the rank.
     """
     n = len(xs)
     cand = np.zeros((n, k_c), dtype=np.int64)
@@ -71,19 +71,18 @@ def candidate_features(
         cand[i, :k] = ids
         mask[i, :k] = True
         dirs = net.seg_dir(ids)  # (k, 2)
-        if use_direction:
-            # segment vector vs entrance→p_i
-            v_ent = np.stack([xs[i] - net.ux[ids], ys[i] - net.uy[ids]], axis=1)
-            # segment vector vs p_i→exit
-            v_exit = np.stack([net.vx[ids] - xs[i], net.vy[ids] - ys[i]], axis=1)
-            feats[i, :k, 0] = _cos_rows(dirs, v_ent)
-            feats[i, :k, 1] = _cos_rows(dirs, v_exit)
-            if i > 0:
-                v_prev = np.array([xs[i] - xs[i - 1], ys[i] - ys[i - 1]])
-                feats[i, :k, 2] = _cos_rows(dirs, np.broadcast_to(v_prev, (k, 2)))
-            if i < n - 1:
-                v_next = np.array([xs[i + 1] - xs[i], ys[i + 1] - ys[i]])
-                feats[i, :k, 3] = _cos_rows(dirs, np.broadcast_to(v_next, (k, 2)))
+        # segment vector vs entrance→p_i
+        v_ent = np.stack([xs[i] - net.ux[ids], ys[i] - net.uy[ids]], axis=1)
+        # segment vector vs p_i→exit
+        v_exit = np.stack([net.vx[ids] - xs[i], net.vy[ids] - ys[i]], axis=1)
+        feats[i, :k, 0] = _cos_rows(dirs, v_ent)
+        feats[i, :k, 1] = _cos_rows(dirs, v_exit)
+        if i > 0:
+            v_prev = np.array([xs[i] - xs[i - 1], ys[i] - ys[i - 1]])
+            feats[i, :k, 2] = _cos_rows(dirs, np.broadcast_to(v_prev, (k, 2)))
+        if i < n - 1:
+            v_next = np.array([xs[i + 1] - xs[i], ys[i + 1] - ys[i]])
+            feats[i, :k, 3] = _cos_rows(dirs, np.broadcast_to(v_next, (k, 2)))
         feats[i, :k, 4] = np.clip(dists / DIST_SCALE, 0.0, 2.0)
         feats[i, :k, 5] = np.arange(k) / k_c
     return cand, feats, mask
@@ -110,12 +109,11 @@ def build_mma_sample(
     norm: dict,
     true_seg: np.ndarray | None = None,
     k_c: int = K_C,
-    use_direction: bool = True,
 ) -> MMASample:
     """Full featureisation of one sparse trajectory; labels are positions
     of the true segment within each candidate set (-1 when absent, which
     the paper notes is rare at k_c = 10)."""
-    cand, feats, mask = candidate_features(net, index, xs, ys, k_c, use_direction)
+    cand, feats, mask = candidate_features(net, index, xs, ys, k_c)
     label = None
     if true_seg is not None:
         label = np.full(len(xs), -1, dtype=np.int64)

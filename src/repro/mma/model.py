@@ -23,7 +23,9 @@ from repro.nn.transformer import TransformerEncoder
 
 
 class MMAModel(Module):
-    """See module docstring. ``use_context=False`` → the -C ablation."""
+    """See module docstring. ``use_context=False`` → the -C ablation;
+    ``use_direction=False`` → the -DI ablation (the four cosine features
+    are zeroed before the candidate MLP)."""
 
     def __init__(
         self,
@@ -37,9 +39,11 @@ class MMAModel(Module):
         seed: int = 0,
         n2v_init: np.ndarray | None = None,
         use_context: bool = True,
+        use_direction: bool = True,
     ):
         rng = np.random.default_rng(seed)
         self.use_context = use_context
+        self.use_direction = use_direction
         self.d2 = d2
         self.seg_emb = Embedding(n_segments, d0, rng, init=n2v_init)
         self.cand_mlp = MLP([d0 + N_CAND_FEATS, d1, d2], rng)
@@ -55,7 +59,11 @@ class MMAModel(Module):
         ell, kc = s.cand.shape
         z2 = self.trans(self.point_fc(X))  # Eq.(3), (ℓ, d2)
         e_c = self.seg_emb(s.cand.reshape(-1), X)  # (ℓ·k, d0)
-        zc = concat([e_c, s.feats.reshape(ell * kc, N_CAND_FEATS)], axis=-1)
+        feats = s.feats
+        if not self.use_direction:
+            feats = feats.copy()
+            feats[..., :4] = 0.0  # the four cosines
+        zc = concat([e_c, feats.reshape(ell * kc, N_CAND_FEATS)], axis=-1)
         c = self.cand_mlp(zc).reshape(ell, kc, self.d2)  # Eq.(2)
         masked_out = np.where(s.mask, 0.0, -1e9)
         if self.use_context:

@@ -34,9 +34,7 @@ def augmented_trajs(city: CityData, n: int, seed: int = 0):
     return preset_trajectories(city.net, city.name, n, city.gamma, 500000 + seed, 0.03)
 
 
-def mma_training_samples(
-    city: CityData, use_direction: bool = True, augment: int = 0, seed: int = 0
-) -> list[MMASample]:
+def mma_training_samples(city: CityData, augment: int = 0, seed: int = 0) -> list[MMASample]:
     """Featureised, labelled observed-point sequences of the train split
     (+ augmentation)."""
     samples = []
@@ -54,7 +52,6 @@ def mma_training_samples(
                 tr.t0,
                 city.norm,
                 true_seg=tr.seg[obs],
-                use_direction=use_direction,
             )
         )
     return samples
@@ -83,9 +80,10 @@ def train_mma(
     if n2v is None:
         n2v = node2vec_embeddings(city.net, d=d, seed=seed)
     if samples is None:
-        samples = mma_training_samples(city, use_direction=use_direction, augment=augment, seed=seed)
+        samples = mma_training_samples(city, augment=augment, seed=seed)
     model = MMAModel(
-        city.net.n_segments, d0=d, d2=d, seed=seed, n2v_init=n2v, use_context=use_context
+        city.net.n_segments, d0=d, d2=d, seed=seed, n2v_init=n2v, use_context=use_context,
+        use_direction=use_direction,
     )
     means = fit(
         model.parameters(), len(samples), lambda idx: mean_of([model.loss(samples[i]) for i in idx]),

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mma.baselines import HMMMatcher, MMAMatcher, NearestMatcher
-from repro.mma.train import train_mma
+from repro.mma.train import mma_training_samples, train_mma
 from repro.traj.datasets import CityData
 from repro.trmma.baselines import LinearRecoverer
 from repro.trmma.infer import TRMMARecoverer
@@ -46,10 +46,11 @@ def train_ablation_suite(
         mma_augment=mma_augment, trmma_augment=trmma_augment, verbose=verbose,
     )
 
+    mma_samples = mma_training_samples(city, augment=mma_augment, seed=seed)
     mma_nc = train_mma(city, epochs=mma_epochs, seed=seed, n2v=n2v, use_context=False,
-                       augment=mma_augment, verbose=verbose)
+                       samples=mma_samples, verbose=verbose)
     mma_ndi = train_mma(city, epochs=mma_epochs, seed=seed, n2v=n2v, use_direction=False,
-                        augment=mma_augment, verbose=verbose)
+                        samples=mma_samples, verbose=verbose)
     trmma_df = train_trmma(
         city, epochs=trmma_epochs, seed=seed, n2v=n2v, time_per_meter=tpm,
         samples=samples, use_dualformer=False, verbose=verbose,
@@ -57,7 +58,7 @@ def train_ablation_suite(
 
     m_full = MMAMatcher(net, index, norm, mma)
     m_nc = MMAMatcher(net, index, norm, mma_nc)
-    m_ndi = MMAMatcher(net, index, norm, mma_ndi, use_direction=False)
+    m_ndi = MMAMatcher(net, index, norm, mma_ndi)
     m_hmm = HMMMatcher(net, index, norm)
     m_near = NearestMatcher(net, index, norm)
 

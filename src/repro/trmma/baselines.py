@@ -40,6 +40,7 @@ from repro.roadnet.spatial_index import SegmentIndex
 from repro.traj.datasets import CityData
 from repro.traj.ops import locate_on_route, route_cum_lengths, route_offset
 from repro.trmma.features import positions_in_route
+from repro.trmma.model import LAMBDA
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +232,7 @@ class _Seq2SegRecoverer(_LearnedRecoverer):
             return mean(enc_states, axis=0)
         return softmax(enc_states @ h, axis=-1) @ enc_states
 
-    def _rollout(self, xs, ys, ts, t0, idxs, n_ticks, teacher=None, lam: float = 2.0):
+    def _rollout(self, xs, ys, ts, t0, idxs, n_ticks, teacher=None):
         """Run the decoder over all ticks.
 
         With ``teacher=(gt_seg, gt_ratio)`` the point features enter as a
@@ -268,7 +269,7 @@ class _Seq2SegRecoverer(_LearnedRecoverer):
                 ce = -logits.log_softmax(axis=-1)[k]
                 diff = self.dec.ratio(hc, E[k]) - Tensor(np.array([r]))
                 mae = (diff.relu() + (-diff).relu()).reshape(())
-                losses.append(ce + mae * lam)
+                losses.append(ce + mae * LAMBDA)
             h = self.dec.advance(h, E[k], r, float(taus[tick]))
         return mean_of(losses) if teacher is not None else (segs, ratios)
 

@@ -33,6 +33,8 @@ from repro.nn.gru import GRUCell
 from repro.nn.layers import Embedding, Linear, MLP, Module
 from repro.nn.transformer import TransformerEncoder
 
+LAMBDA = 2.0  # Eq. (21): weight of the ratio loss L_r against L_seg
+
 
 @dataclass
 class TrmmaSample:
@@ -171,8 +173,9 @@ class TRMMAModel(Module):
         return concat([H[k], np.array([ratio, tau])], axis=-1)
 
     # -- training loss ----------------------------------------------------
-    def loss(self, s: TrmmaSample, lam: float = 10.0):
-        """Teacher-forced L_seg + λ·L_r (Eqs. 19-21), averaged per tick.
+    def loss(self, s: TrmmaSample):
+        """Teacher-forced L_seg + λ·L_r (Eqs. 19-21, λ = :data:`LAMBDA`),
+        averaged per tick.
 
         Returns ``(loss_tensor, n_missing_ticks)``; callers weight by tick
         count when batching trajectories.
@@ -212,7 +215,7 @@ class TRMMAModel(Module):
             r = self._step_ratio(H, h, w, feats, exp_off, k_gt)
             diff = r - Tensor(np.array([s.tick_ratio[tick]]))
             mae = (diff.relu() + (-diff).relu()).reshape(())  # |diff|, Eq.(20)
-            terms.append(bce + mae * lam)
+            terms.append(bce + mae * LAMBDA)
             # teacher forcing: GT segment/ratio feed the next state
             h = self.gru(self._gru_in(H, k_gt, float(s.tick_ratio[tick]), float(s.tick_tau[tick])), h)
         if not terms:

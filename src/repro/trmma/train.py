@@ -90,7 +90,6 @@ def train_trmma(
     lr: float = 2e-3,
     d_h: int = 32,
     batch: int = 4,
-    lam: float = 2.0,
     seed: int = 0,
     use_dualformer: bool = True,
     n2v: np.ndarray | None = None,
@@ -115,7 +114,7 @@ def train_trmma(
     )
 
     def batch_loss(idx):
-        losses = [loss for loss, _ in (model.loss(samples[i], lam=lam) for i in idx) if loss is not None]
+        losses = [loss for loss, _ in (model.loss(samples[i]) for i in idx) if loss is not None]
         return mean_of(losses) if losses else None
 
     means = fit(model.parameters(), len(samples), batch_loss, epochs, lr, batch, seed)

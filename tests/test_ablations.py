@@ -25,7 +25,8 @@ def test_variants_share_trmma_model(suite):
 
 def test_matcher_variants_differ(suite):
     assert suite["TRMMA"].matcher is not suite["TRMMA-C"].matcher
-    assert suite["TRMMA-DI"].matcher.use_direction is False
+    assert suite["TRMMA-DI"].matcher.model.use_direction is False
+    assert suite["TRMMA"].matcher.model.use_direction is True
     assert type(suite["TRMMA-HMM"].matcher).__name__ == "HMMMatcher"
     assert type(suite["Nearest+linear"].matcher).__name__ == "NearestMatcher"
 

@@ -37,13 +37,6 @@ def test_cosine_features_in_range(net_small, index_small, obs):
     assert (np.abs(feats[:, :, :4]) <= 1.0 + 1e-9).all()
 
 
-def test_direction_flag_zeroes_cosines(net_small, index_small, obs):
-    tr, o = obs
-    _, feats, _ = candidate_features(net_small, index_small, tr.x[o], tr.y[o], use_direction=False)
-    assert (feats[:, :, :4] == 0).all()
-    assert (feats[:, :, 4] > 0).any()
-
-
 def test_twin_separation_by_next_cosine(net_small, index_small, trajs_small):
     """For two-way roads the correct travel direction must have the larger
     cos(segment, motion) on average — the feature MMA relies on."""

@@ -1,4 +1,5 @@
 """Tests for the MMA classification model (§IV-B)."""
+import dataclasses
 import pickle
 
 import numpy as np
@@ -68,6 +69,20 @@ def test_context_flag_reduces_params_used(net_small, sample):
     # attention MLP receives no gradient when context is off
     attn_grads = [p.grad for p in m.attn_mlp.parameters()]
     assert all(g is None or np.allclose(g, 0) for g in attn_grads)
+
+
+def test_direction_flag_zeroes_cosines(net_small, sample):
+    """The -DI model's logits do not change when the four cosine columns
+    do (in both modes, without touching the sample); the full model's do."""
+    feats = sample.feats.copy()
+    feats[..., :4] = np.random.default_rng(0).uniform(-1.0, 1.0, feats[..., :4].shape)
+    other = dataclasses.replace(sample, feats=feats)
+    ndi = MMAModel(net_small.n_segments, d0=16, d2=16, seed=0, use_direction=False)
+    full = MMAModel(net_small.n_segments, d0=16, d2=16, seed=0)
+    assert np.array_equal(ndi.forward(sample, sample.X), ndi.forward(other, other.X))
+    assert np.array_equal(ndi.forward(sample, Tensor(sample.X)).data, ndi.forward(other, Tensor(other.X)).data)
+    assert not np.array_equal(full.forward(sample, sample.X), full.forward(other, other.X))
+    assert not np.array_equal(other.feats, sample.feats)
 
 
 def test_n2v_init_used(net_small):
