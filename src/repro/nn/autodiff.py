@@ -379,8 +379,10 @@ def stack(tensors: Sequence, axis: int = 0):
 
 def mean_of(tensors: Sequence[Tensor]) -> Tensor:
     """Mean of equal-shape tensors: summed left to right, then scaled by
-    ``1 / len``. Every batch and per-tick loss average goes through here, so
-    the float rounding (and hence every trained weight) is one fixed recipe."""
+    ``1 / len``. Every batch average of per-sample losses, and the
+    per-tick average of the recovery baselines' teacher-forced rollouts,
+    goes through here, so the float rounding (and hence every trained
+    weight) is one fixed recipe."""
     total = tensors[0]
     for t in tensors[1:]:
         total = total + t

@@ -17,10 +17,14 @@ their matched segment/ratio) so the state tracks progress along the route.
 
 Training (Eqs. 19-21) teacher-forces the GRU and combines per-tick BCE over
 route segments with λ-weighted MAE on ratios, through the autodiff graph.
-``loss`` and ``recover`` call the same ``encode``, ``_step_scores``,
-``_step_ratio`` and GRU step; ``loss`` feeds them Tensors, which build the
-graph, and ``recover`` plain arrays, which build none. Both modes run the
-same ops, so their outputs are bit-identical.
+Teacher forcing leaves the GRU state as the only link between ticks, so
+``loss`` unrolls the GRU tick by tick and then scores all of a sample's
+ticks at once: one ``_step_scores`` and one ``_step_ratio`` call on a
+leading tick axis. ``recover`` must feed each tick's argmax back into the
+GRU, so it calls the same helpers one tick at a time, on plain arrays,
+which build no graph. Both run the same ``encode``, ``_decode_feats`` and
+GRU step; the batched heads round their matmuls and sums differently, so a
+tick's training-time scores may differ from ``recover``'s in the last bits.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.autodiff import Tensor, concat, mean, mean_of, softmax, tanh
+from repro.nn.autodiff import Tensor, concat, mean, softmax, stack, tanh
 from repro.nn.gru import GRUCell
 from repro.nn.layers import Embedding, Linear, MLP, Module
 from repro.nn.transformer import TransformerEncoder
@@ -136,37 +140,55 @@ class TRMMAModel(Module):
         return start[k] + ((t_ticks - cum_t[k]) / tw[k]).clip(0, 1) * ln[k]
 
     @staticmethod
-    def _decode_feats(s: TrmmaSample, tau: float, exp_off: float) -> np.ndarray:
-        """(ℓ_R, 4) per-segment decode-time features in *segment-relative*
-        coordinates (O(1)-scaled so the MLP can resolve the containment
-        boundary): the would-be ratio of ``exp_off``/``tau`` inside each
-        segment — in [0, 1) exactly for the containing segment."""
+    def _decode_feats(s: TrmmaSample, taus, exp_offs) -> np.ndarray:
+        """(..., ℓ_R, 4) per-segment decode-time features in
+        *segment-relative* coordinates (O(1)-scaled so the MLP can resolve
+        the containment boundary): the would-be ratio of each tick's
+        ``exp_offs``/``taus`` inside each segment — in [0, 1) exactly for
+        the containing segment. One row block per entry of ``taus`` (a
+        scalar gives (ℓ_R, 4)); the ops are elementwise, so a tick's block
+        does not depend on the other ticks."""
         ln = np.maximum(s.route_feats[:, 0], 1e-6)
         start = s.route_feats[:, 1]
-        r_exp = ((exp_off - start) / ln).clip(-3.0, 4.0)
-        r_tau = ((tau - start) / ln).clip(-3.0, 4.0)
+        r_exp = ((np.asarray(exp_offs)[..., None] - start) / ln).clip(-3.0, 4.0)
+        r_tau = ((np.asarray(taus)[..., None] - start) / ln).clip(-3.0, 4.0)
         inside = ((r_exp >= 0) & (r_exp < 1)).astype(np.float64)
         inside_tau = ((r_tau >= 0) & (r_tau < 1)).astype(np.float64)
-        return np.stack([r_exp, r_tau, inside, inside_tau], axis=1)
+        return np.stack([r_exp, r_tau, inside, inside_tau], axis=-1)
 
     def _step_scores(self, H, h, feats: np.ndarray):
-        """Eq.(15): w_k for every route segment, shape (ℓ_R,); ``feats`` is
-        the tick's :meth:`_decode_feats`."""
+        """Eq.(15): w_k for every route segment. ``h`` is (d_h,) and
+        ``feats`` (ℓ_R, 4) for one tick, giving (ℓ_R,); or (m, d_h) and
+        (m, ℓ_R, 4) for m ticks, giving (m, ℓ_R)."""
         lr = H.shape[0]
-        he = h.reshape(1, self.d_h) + np.zeros((lr, 1))
-        return self.cls(concat([H, he, H * he, feats], axis=-1)).reshape(lr)
+        lead = feats.shape[:-2]
+        he = h.reshape(lead + (1, self.d_h)) + np.zeros((lr, 1))
+        Hb = H + np.zeros(lead + (1, 1)) if lead else H
+        x = concat([Hb, he, Hb * he, feats], axis=-1)
+        return self.cls(x.reshape(-1, x.shape[-1])).reshape(lead + (lr,))
 
-    def _step_ratio(self, H, h, w, feats: np.ndarray, exp_off: float, k: int):
-        """Eq.(18): attention-pooled ratio regression, shape (1,).
+    def _step_ratio(self, H, h, w, feats: np.ndarray, exp_off, k):
+        """Eq.(18): attention-pooled ratio regression, shape (1,) for one
+        tick (scalar ``exp_off`` and ``k``), or (m,) for m ticks (``w``,
+        ``feats``, ``exp_off`` and ``k`` with a leading tick axis).
 
         Predicts a bounded *correction* around the historical-speed
         interpolation prior of the target segment ``k`` (the prior is what
         a perfect constant-progress model would answer; the head shifts it
         using the state and the attended encoding)."""
-        psi = softmax(w, axis=-1).reshape(1, -1)
-        prior = float(feats[k, 0].clip(0.0, 1.0))
-        z = concat([h.reshape(1, self.d_h), psi @ H, psi @ feats[:, :2], np.array([[prior, exp_off]])], axis=-1)
-        delta = tanh(self.reg(z).reshape(1))
+        lr = w.shape[-1]
+        lead = w.shape[:-1]
+        rows = lead or (1,)  # one regression row per tick
+        psi = softmax(w, axis=-1)
+        k = np.asarray(k)
+        prior = np.take_along_axis(feats[..., 0], k[..., None], axis=-1).clip(0.0, 1.0).reshape(rows)
+        z = concat([
+            h.reshape(rows + (self.d_h,)),
+            psi.reshape(rows + (lr,)) @ H,
+            (psi.reshape(lead + (1, lr)) @ feats[..., :2]).reshape(rows + (2,)),
+            np.stack([prior, np.broadcast_to(exp_off, rows)], axis=-1),
+        ], axis=-1)
+        delta = tanh(self.reg(z).reshape(rows))
         return (delta * 0.5 + prior).clip(0.0, 1.0 - 1e-6)
 
     def _gru_in(self, H, k: int, ratio: float, tau: float):
@@ -175,52 +197,57 @@ class TRMMAModel(Module):
     # -- training loss ----------------------------------------------------
     def loss(self, s: TrmmaSample):
         """Teacher-forced L_seg + λ·L_r (Eqs. 19-21, λ = :data:`LAMBDA`),
-        averaged per tick.
+        averaged over the sample's scored ticks (missing ticks with a GT
+        position).
 
-        Returns ``(loss_tensor, n_missing_ticks)``; callers weight by tick
-        count when batching trajectories.
+        The GRU unrolls tick by tick as in ``recover``, with the GT
+        segment/ratio fed back (teacher forcing), and keeps each scored
+        tick's state from before its update. Nothing else links the ticks,
+        so the heads then score all m of them at once: one
+        :meth:`_step_scores` and one :meth:`_step_ratio` call on a leading
+        tick axis.
+
+        Returns ``(loss_tensor, n_scored_ticks)``, or ``(None, 0)`` when no
+        tick is scored. ``train_trmma`` averages the losses of a batch's
+        samples with equal weight and does not use the count.
         """
         H = self.encode(s, Tensor(s.obs_feats))
         h = mean(H, axis=0)  # Alg.2 line 6
         obs_by_tick = {int(t): i for i, t in enumerate(s.obs_tick)}
-        exp_offs = self.expected_offsets(s)
-        terms = []
+        states, ticks = [], []
         for tick in range(s.n_ticks):
             oi = obs_by_tick.get(tick)
             if oi is not None:
                 # observed point: advance the state with its matched seg/ratio
-                h = self.gru(
-                    self._gru_in(H, int(s.obs_pos[oi]), float(s.obs_feats[oi, 4]), float(s.tick_tau[tick])), h
-                )
+                k, r = int(s.obs_pos[oi]), float(s.obs_feats[oi, 4])
+            elif s.tick_pos[tick] >= 0:
+                states.append(h)
+                ticks.append(tick)
+                # teacher forcing: GT segment/ratio feed the next state
+                k, r = int(s.tick_pos[tick]), float(s.tick_ratio[tick])
+            else:
                 continue
-            k_gt = int(s.tick_pos[tick])
-            if k_gt < 0:
-                continue
-            tau = float(s.tick_tau[tick])
-            exp_off = float(exp_offs[tick])
-            feats = self._decode_feats(s, tau, exp_off)
-            w = self._step_scores(H, h, feats)
-            # BCE over the route's segments (Eq. 19), class-balanced: the
-            # single positive among ℓ_R segments is up-weighted so it is
-            # not drowned by the negatives at small ℓ_R-to-data ratios.
-            z = w.clip(-30.0, 30.0)
-            p = z.sigmoid()
-            y = np.zeros(len(s.route))
-            y[k_gt] = 1.0
-            eps = 1e-9
-            pos_w = max(1.0, (len(s.route) - 1) / 2.0)
-            bce = -(
-                Tensor(y * pos_w) * (p + eps).log() + Tensor(1 - y) * (1 - p + eps).log()
-            ).mean()
-            r = self._step_ratio(H, h, w, feats, exp_off, k_gt)
-            diff = r - Tensor(np.array([s.tick_ratio[tick]]))
-            mae = (diff.relu() + (-diff).relu()).reshape(())  # |diff|, Eq.(20)
-            terms.append(bce + mae * LAMBDA)
-            # teacher forcing: GT segment/ratio feed the next state
-            h = self.gru(self._gru_in(H, k_gt, float(s.tick_ratio[tick]), float(s.tick_tau[tick])), h)
-        if not terms:
+            h = self.gru(self._gru_in(H, k, r, float(s.tick_tau[tick])), h)
+        if not ticks:
             return None, 0
-        return mean_of(terms), len(terms)
+        ticks = np.array(ticks)
+        k_gt = s.tick_pos[ticks].astype(np.int64)
+        exp_off = self.expected_offsets(s)[ticks]
+        feats = self._decode_feats(s, s.tick_tau[ticks], exp_off)  # (m, ℓ_R, 4)
+        hs = stack(states, axis=0)  # (m, d_h)
+        w = self._step_scores(H, hs, feats)  # (m, ℓ_R)
+        # BCE over the route's segments (Eq. 19), class-balanced: the
+        # single positive among ℓ_R segments is up-weighted so it is not
+        # drowned by the negatives at small ℓ_R-to-data ratios.
+        p = w.clip(-30.0, 30.0).sigmoid()
+        y = np.zeros(w.shape)
+        y[np.arange(len(ticks)), k_gt] = 1.0
+        eps = 1e-9
+        pos_w = max(1.0, (len(s.route) - 1) / 2.0)
+        bce = -mean(Tensor(y * pos_w) * (p + eps).log() + Tensor(1 - y) * (1 - p + eps).log(), axis=-1)
+        diff = self._step_ratio(H, hs, w, feats, exp_off, k_gt) - s.tick_ratio[ticks]
+        mae = diff.relu() + (-diff).relu()  # |diff|, Eq.(20)
+        return mean(bce + mae * LAMBDA), len(ticks)
 
     # -- inference --------------------------------------------------------
     def recover(self, s: TrmmaSample) -> tuple[np.ndarray, np.ndarray]:
@@ -228,13 +255,14 @@ class TRMMAModel(Module):
 
         Observed ticks carry their matched point (Alg. 2 lines 2-4);
         missing ticks are decoded sequentially under the route-order
-        constraint (Eq. 17). Runs ``loss``'s steps on plain arrays, so it
-        builds no graph.
+        constraint (Eq. 17). Calls ``loss``'s helpers one tick at a time,
+        on plain arrays, so it builds no graph.
         """
         H = self.encode(s)
         h = mean(H, axis=0)  # Alg.2 line 6
         obs_by_tick = {int(t): i for i, t in enumerate(s.obs_tick)}
         exp_offs = self.expected_offsets(s)
+        feats_all = self._decode_feats(s, s.tick_tau, exp_offs)  # (ℓ_ε, ℓ_R, 4)
         segs = np.zeros(s.n_ticks, dtype=np.int64)
         ratios = np.zeros(s.n_ticks)
         k_prev = 0
@@ -246,7 +274,7 @@ class TRMMAModel(Module):
                 r = float(s.obs_feats[oi, 4])
             else:
                 exp_off = float(exp_offs[tick])
-                feats = self._decode_feats(s, tau, exp_off)
+                feats = feats_all[tick]
                 w = self._step_scores(H, h, feats)
                 wd = w.copy()
                 wd[:k_prev] = -np.inf  # Eq.(17): not before a_{j-1}.e
