@@ -31,7 +31,7 @@ from repro.mma.baselines import (
     RNTrajRecRouteMatcher,
 )
 from repro.mma.infer import run_matcher
-from repro.mma.train import train_mma
+from repro.mma.train import mma_training_samples, train_mma
 from repro.roadnet.node2vec import node2vec_embeddings
 from repro.roadnet.routing import HistoricalCosts
 from repro.traj.datasets import CityData, build_city
@@ -147,8 +147,8 @@ def build_matchers(city: CityData, seed: int = 0, epochs: int = 8, verbose: bool
     trajectories — see :func:`repro.mma.train.augmented_trajs`."""
     net, index, norm = city.net, city.index, city.norm
     n2v = node2vec_embeddings(net, d=32, seed=seed)
-    mma_model = train_mma(city, epochs=epochs, seed=seed, n2v=n2v, augment=mma_augment,
-                          verbose=verbose)
+    samples = mma_training_samples(city, augment=mma_augment, seed=seed)
+    mma_model = train_mma(city, samples, n2v, epochs=epochs, seed=seed, verbose=verbose)
     return {
         "Nearest": NearestMatcher(net, index, norm),
         "FMM": HMMMatcher(net, index, norm),

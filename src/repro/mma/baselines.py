@@ -268,9 +268,10 @@ def segment_feature_matrix(net: RoadNetwork, norm: dict, d: int = 16, seed: int 
 
 
 class DeepMMMatcher:
-    """DeepMM-lite (see module docstring). ``fit`` augments the training
-    set with simulator-generated trajectories — DeepMM's data augmentation
-    idea, which is what lifts it above the HMM family in the paper."""
+    """DeepMM-lite (see module docstring). ``fit(augment=n)`` adds ``n``
+    simulator-generated trajectories to the train split — DeepMM's data
+    augmentation idea, which is what lifts it above the HMM family in the
+    paper."""
 
     name = "DeepMM"
     encoder = "gru"
@@ -279,7 +280,7 @@ class DeepMMMatcher:
         self.net, self.index, self.norm = net, index, norm
         self.model = _FullVocabModel(segment_feature_matrix(net, norm, seed=seed), d, self.encoder, seed)
 
-    def fit(self, city: CityData, epochs: int = 8, lr: float = 3e-3, augment: int = 200, seed: int = 0):
+    def fit(self, city: CityData, epochs: int = 8, lr: float = 3e-3, augment: int = 0, seed: int = 0):
         seqs, labels, pens = [], [], []
         trajs = city.trajs("train")
         if augment:
@@ -313,9 +314,6 @@ class RNTrajRecRouteMatcher(DeepMMMatcher):
 
     name = "RNTrajRec"
     encoder = "transformer"
-
-    def fit(self, city: CityData, epochs: int = 8, lr: float = 3e-3, augment: int = 0, seed: int = 0):
-        return super().fit(city, epochs=epochs, lr=lr, augment=augment, seed=seed)
 
 
 class GraphMMMatcher:

@@ -2,7 +2,9 @@
 
 Training data is the train split's observed points, read from the city's
 driver-side trajectories (:meth:`repro.traj.datasets.CityData.trajs`, no
-Spark job), featureised once, then optimised by :func:`repro.nn.optim.fit` (Adam over
+Spark job) and featureised by :func:`mma_training_samples`. The caller
+builds the samples and Node2Vec embeddings once; :func:`train_mma` only
+consumes them, optimising with :func:`repro.nn.optim.fit` (Adam over
 shuffled mini-batches of trajectories). Models are small (d≈32) and sparse
 trajectories short, so the numpy loop trains each city in seconds at bench
 scale.
@@ -15,7 +17,6 @@ from repro.mma.features import MMASample, build_mma_sample
 from repro.mma.model import MMAModel
 from repro.nn.autodiff import mean_of
 from repro.nn.optim import fit
-from repro.roadnet.node2vec import node2vec_embeddings
 from repro.traj.datasets import CityData, preset_trajectories
 
 
@@ -59,6 +60,8 @@ def mma_training_samples(city: CityData, augment: int = 0, seed: int = 0) -> lis
 
 def train_mma(
     city: CityData,
+    samples: list[MMASample],
+    n2v: np.ndarray,
     epochs: int = 8,
     lr: float = 2e-3,
     d: int = 32,
@@ -66,21 +69,15 @@ def train_mma(
     seed: int = 0,
     use_context: bool = True,
     use_direction: bool = True,
-    n2v: np.ndarray | None = None,
-    samples: list[MMASample] | None = None,
-    augment: int = 0,
     verbose: bool = False,
 ) -> MMAModel:
-    """Train MMA on a city's train split; returns the fitted model.
+    """Train MMA on ``samples`` (from :func:`mma_training_samples`) with
+    segment embeddings initialised from ``n2v`` (Node2Vec, ``d`` columns);
+    returns the fitted model.
 
     ``use_context`` / ``use_direction`` drive the paper's -C / -DI
-    ablations. ``n2v`` lets callers reuse pre-trained Node2Vec embeddings
-    across model variants (they are deterministic per city anyway).
+    ablations.
     """
-    if n2v is None:
-        n2v = node2vec_embeddings(city.net, d=d, seed=seed)
-    if samples is None:
-        samples = mma_training_samples(city, augment=augment, seed=seed)
     model = MMAModel(
         city.net.n_segments, d0=d, d2=d, seed=seed, n2v_init=n2v, use_context=use_context,
         use_direction=use_direction,

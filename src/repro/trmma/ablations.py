@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mma.baselines import HMMMatcher, MMAMatcher, NearestMatcher
-from repro.mma.train import mma_training_samples, train_mma
+from repro.mma.train import train_mma
 from repro.traj.datasets import CityData
 from repro.trmma.baselines import LinearRecoverer
 from repro.trmma.infer import TRMMARecoverer
@@ -37,24 +37,21 @@ def train_ablation_suite(
 
     Returns ``{name: recoverer}`` in the paper's Table IV row order. The
     heavy pieces (Node2Vec, time stats, the training data incl. simulated
-    history) are shared across variants exactly as the ablation design
-    requires.
+    history) are built once by :func:`repro.trmma.train.train_mma_trmma`
+    and shared across variants exactly as the ablation design requires.
     """
     net, index, norm = city.net, city.index, city.norm
-    n2v, tpm, samples, mma, trmma = train_mma_trmma(
+    n2v, tpm, samples, mma, trmma, mma_samples = train_mma_trmma(
         city, seed=seed, mma_epochs=mma_epochs, trmma_epochs=trmma_epochs,
         mma_augment=mma_augment, trmma_augment=trmma_augment, verbose=verbose,
     )
 
-    mma_samples = mma_training_samples(city, augment=mma_augment, seed=seed)
-    mma_nc = train_mma(city, epochs=mma_epochs, seed=seed, n2v=n2v, use_context=False,
-                       samples=mma_samples, verbose=verbose)
-    mma_ndi = train_mma(city, epochs=mma_epochs, seed=seed, n2v=n2v, use_direction=False,
-                        samples=mma_samples, verbose=verbose)
-    trmma_df = train_trmma(
-        city, epochs=trmma_epochs, seed=seed, n2v=n2v, time_per_meter=tpm,
-        samples=samples, use_dualformer=False, verbose=verbose,
-    )
+    mma_nc = train_mma(city, mma_samples, n2v, epochs=mma_epochs, seed=seed, use_context=False,
+                       verbose=verbose)
+    mma_ndi = train_mma(city, mma_samples, n2v, epochs=mma_epochs, seed=seed, use_direction=False,
+                        verbose=verbose)
+    trmma_df = train_trmma(city, samples, n2v, epochs=trmma_epochs, seed=seed, use_dualformer=False,
+                           verbose=verbose)
 
     m_full = MMAMatcher(net, index, norm, mma)
     m_nc = MMAMatcher(net, index, norm, mma_nc)

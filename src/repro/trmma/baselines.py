@@ -35,7 +35,6 @@ from repro.nn.gru import BiGRU, GRU, GRUCell
 from repro.nn.layers import Linear, MLP, Module
 from repro.nn.optim import fit
 from repro.nn.transformer import TransformerEncoder
-from repro.roadnet.node2vec import node2vec_embeddings
 from repro.roadnet.spatial_index import SegmentIndex
 from repro.traj.datasets import CityData
 from repro.traj.ops import locate_on_route, route_cum_lengths, route_offset
@@ -58,14 +57,13 @@ class LinearRecoverer:
 
     def recover(self, xs, ys, ts, t0, idxs, n_ticks):
         net = self.matcher.net
-        segs_m, _, route = match_and_stitch(self.matcher, xs, ys, ts, t0, self.costs)
+        segs_m, ratios_m, route = match_and_stitch(self.matcher, xs, ys, ts, t0, self.costs)
         cum = route_cum_lengths(net, route)
-        # offsets of observed points along the route (monotone projection)
+        # offsets of observed points along the route (monotone projection);
+        # the route holds every matched segment, so route[pos[i]] == segs_m[i]
+        # and the point's ratio there is its matched ratio
         pos = positions_in_route(np.asarray(route), segs_m)
-        offs = []
-        for i, (s, k) in enumerate(zip(segs_m, pos)):
-            r, _ = net.project(float(xs[i]), float(ys[i]), int(route[k]))
-            offs.append(route_offset(net, route, int(k), r, cum))
+        offs = [route_offset(net, route, int(k), r, cum) for k, r in zip(pos, ratios_m)]
         offs = np.maximum.accumulate(np.array(offs))
         tick_off = np.interp(np.arange(n_ticks), idxs.astype(float), offs)
         segs = np.zeros(n_ticks, dtype=np.int64)
@@ -102,12 +100,18 @@ def snap_with_direction(net, index, px, py):
 # ---------------------------------------------------------------------------
 # Learned recoverers
 # ---------------------------------------------------------------------------
-def subgraph_means(index: SegmentIndex, n2v: np.ndarray, xs, ys, k_c: int) -> np.ndarray:
-    """(ℓ, d) mean Node2Vec embedding of each point's top-``k_c`` candidate
+# candidate segments per point in a surrounding subgraph
+K_C = 5
+# Node2Vec columns of the seq2seq decoders' segment features
+N2V_D = 16
+
+
+def subgraph_means(index: SegmentIndex, n2v: np.ndarray, xs, ys) -> np.ndarray:
+    """(ℓ, d) mean Node2Vec embedding of each point's top-``K_C`` candidate
     segments (its surrounding subgraph); zeros where a point has none."""
     sub = np.zeros((len(xs), n2v.shape[1]))
     for i in range(len(xs)):
-        ids, _ = index.query(float(xs[i]), float(ys[i]), k_c)
+        ids, _ = index.query(float(xs[i]), float(ys[i]), K_C)
         if len(ids):
             sub[i] = n2v[ids].mean(axis=0)
     return sub
@@ -208,9 +212,16 @@ class _Seq2SegRecoverer(_LearnedRecoverer):
     _parts = ("dec", "inp", "enc", "enc2", "pool")
 
     def _build(self, rng):
-        self.dec = _FullVocabDecoder(segment_feature_matrix(self.net, self.norm, seed=self.seed), self.d, rng)
+        self.dec = _FullVocabDecoder(segment_feature_matrix(self.net, self.norm, d=N2V_D, seed=self.seed),
+                                     self.d, rng)
         self.inp = Linear(4, self.d, rng)
         self._build_encoder(rng)
+
+    @property
+    def n2v(self) -> np.ndarray:
+        """(n, ``N2V_D``) Node2Vec embeddings for the subgraph encoders: the
+        last columns of the decoder's segment features, so no second run."""
+        return self.dec.head.seg_feats[:, -N2V_D:]
 
     def _targets(self, tr):
         return tr.seg, tr.ratio
@@ -291,17 +302,12 @@ class RNTrajRecRecoverer(_Seq2SegRecoverer):
 
     name = "RNTrajRec"
 
-    def __init__(self, net, index, norm, eps, d: int = 32, seed: int = 0, k_c: int = 5):
-        self.k_c = k_c
-        self.n2v = node2vec_embeddings(net, d=16, seed=seed)
-        super().__init__(net, index, norm, eps, d, seed)
-
     def _build_encoder(self, rng):
-        self.inp = Linear(4 + 16, self.d, rng)
+        self.inp = Linear(4 + N2V_D, self.d, rng)
         self.enc = TransformerEncoder(self.d, n_layers=2, n_heads=2, rng=rng)
 
     def _encode(self, X, xs, ys):
-        sub = subgraph_means(self.index, self.n2v, xs, ys, self.k_c)
+        sub = subgraph_means(self.index, self.n2v, xs, ys)
         states = self.enc(self.inp(concat([X, sub], axis=1)))
         return states, mean(states, axis=0)
 
@@ -314,11 +320,11 @@ class MMSTGEDRecoverer(RNTrajRecRecoverer):
     name = "MM-STGED"
 
     def _build_encoder(self, rng):
-        self.inp = Linear(4 + 16 + 4, self.d, rng)
+        self.inp = Linear(4 + N2V_D + 4, self.d, rng)
         self.enc = GRU(self.d, self.d, rng)
 
     def _encode(self, X, xs, ys):
-        sub = subgraph_means(self.index, self.n2v, xs, ys, self.k_c)
+        sub = subgraph_means(self.index, self.n2v, xs, ys)
         xs = np.asarray(xs)
         ys = np.asarray(ys)
         span = max(self.norm["x1"] - self.norm["x0"], 1e-9)
@@ -356,17 +362,12 @@ class TrajGATDecRecoverer(_PooledRecoverer):
 
     name = "TrajGAT+Dec"
 
-    def __init__(self, net, index, norm, eps, d: int = 32, seed: int = 0, k_c: int = 5):
-        self.k_c = k_c
-        self.n2v = node2vec_embeddings(net, d=16, seed=seed)
-        super().__init__(net, index, norm, eps, d, seed)
-
     def _build_encoder(self, rng):
-        self.enc = Linear(16, self.d, rng)  # candidate-embedding projector
+        self.enc = Linear(N2V_D, self.d, rng)  # candidate-embedding projector
         self.pool = MLP([self.d, self.d, 1], rng)  # attention scorer
 
     def _pool(self, X, xs, ys):
-        z = self.enc(like(subgraph_means(self.index, self.n2v, xs, ys, self.k_c), X))  # (ℓ, d)
+        z = self.enc(like(subgraph_means(self.index, self.n2v, xs, ys), X))  # (ℓ, d)
         return softmax(self.pool(z).reshape(len(xs)), axis=-1) @ z
 
 

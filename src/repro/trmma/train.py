@@ -2,6 +2,11 @@
 plus the historical per-segment travel-time statistic that feeds the
 expected-offset prior (see :meth:`repro.trmma.model.TRMMAModel.expected_offsets`),
 and :func:`train_mma_trmma`, the MMA + TRMMA pair Tables III and IV share.
+
+Callers build the training inputs (samples, Node2Vec, the prior) once and
+pass them in; :func:`train_trmma` only consumes them. For Tables III and IV
+that caller is :func:`train_mma_trmma`, which returns the inputs with the
+models so the Table IV variants train on the same copies.
 """
 from __future__ import annotations
 
@@ -10,8 +15,9 @@ from typing import NamedTuple
 import numpy as np
 from pyspark.sql import functions as F
 
+from repro.mma.features import MMASample
 from repro.mma.model import MMAModel
-from repro.mma.train import augmented_trajs, train_mma
+from repro.mma.train import augmented_trajs, mma_training_samples, train_mma
 from repro.nn.autodiff import mean_of
 from repro.nn.optim import fit
 from repro.roadnet.node2vec import node2vec_embeddings
@@ -66,18 +72,12 @@ def segment_time_stats_trajs(net, trajs, eps: float) -> np.ndarray:
     return tpm / max(med, 1e-9)
 
 
-def trmma_train_trajs(city: CityData, augment: int = 0, seed: int = 0):
-    """Train-split trajectories plus optional simulated history (see
-    :func:`repro.mma.train.augmented_trajs`)."""
-    return city.trajs("train") + augmented_trajs(city, augment, seed)
-
-
 def trmma_training_samples(
-    city: CityData, time_per_meter: np.ndarray | None = None, trajs=None
+    city: CityData, trajs, time_per_meter: np.ndarray | None = None
 ) -> list[TrmmaSample]:
-    """Teacher-forcing samples of ``trajs`` (default: the train split)."""
+    """Teacher-forcing samples of ``trajs`` (e.g. ``city.trajs("train")``)."""
     out = []
-    for tr in trajs if trajs is not None else city.trajs("train"):
+    for tr in trajs:
         s = build_train_sample(city.net, tr, city.norm, time_per_meter=time_per_meter)
         if s is not None:
             out.append(s)
@@ -86,29 +86,27 @@ def trmma_training_samples(
 
 def train_trmma(
     city: CityData,
+    samples: list[TrmmaSample],
+    n2v: np.ndarray,
     epochs: int = 5,
     lr: float = 2e-3,
     d_h: int = 32,
     batch: int = 4,
     seed: int = 0,
     use_dualformer: bool = True,
-    n2v: np.ndarray | None = None,
     time_per_meter: np.ndarray | None = None,
-    samples: list[TrmmaSample] | None = None,
-    augment: int = 0,
     verbose: bool = False,
 ) -> TRMMAModel:
-    """Train TRMMA on a city's train split (GT routes, teacher forcing).
+    """Train TRMMA on ``samples`` (from :func:`trmma_training_samples`, GT
+    routes, teacher forcing) with segment embeddings initialised from
+    ``n2v`` (Node2Vec, ``d_h`` columns); returns the fitted model.
 
     ``use_dualformer=False`` is the paper's TRMMA-DF ablation (H = R).
-    Pass the same ``time_per_meter`` (from :func:`segment_time_stats_trajs`)
-    used at inference so the expected-offset prior matches.
+    Build ``samples`` with the same ``time_per_meter`` (from
+    :func:`segment_time_stats_trajs`) used at inference so the
+    expected-offset prior matches; the samples carry it, so the
+    ``time_per_meter`` passed here is not read.
     """
-    if n2v is None:
-        n2v = node2vec_embeddings(city.net, d=d_h, seed=seed)
-    if samples is None:
-        trajs = trmma_train_trajs(city, augment=augment, seed=seed) if augment else None
-        samples = trmma_training_samples(city, time_per_meter=time_per_meter, trajs=trajs)
     model = TRMMAModel(
         city.net.n_segments, d_h=d_h, seed=seed, n2v_init=n2v, use_dualformer=use_dualformer
     )
@@ -125,13 +123,14 @@ def train_trmma(
 
 
 class TrainedPair(NamedTuple):
-    """MMA and TRMMA trained on one city, with the inputs they share."""
+    """MMA and TRMMA trained on one city, with their training inputs."""
 
     n2v: np.ndarray
     time_per_meter: np.ndarray
     samples: list[TrmmaSample]
     mma: MMAModel
     trmma: TRMMAModel
+    mma_samples: list[MMASample]
 
 
 def train_mma_trmma(
@@ -145,15 +144,17 @@ def train_mma_trmma(
 ) -> TrainedPair:
     """Train the full MMA and TRMMA as Tables III and IV do.
 
-    Node2Vec (d = 32), the time-per-metre prior and TRMMA's samples come
-    from the train split plus ``trmma_augment`` simulated trajectories, and
-    are returned so the Table IV variants train on the same inputs.
+    Builds every training input once and returns it with the models, so
+    the Table IV variants train on the same copies: Node2Vec (d = 32);
+    MMA's samples from the train split plus ``mma_augment`` simulated
+    trajectories; the time-per-metre prior and TRMMA's samples from the
+    train split plus ``trmma_augment`` simulated trajectories.
     """
     n2v = node2vec_embeddings(city.net, d=32, seed=seed)
-    hist = trmma_train_trajs(city, augment=trmma_augment, seed=seed)
+    hist = city.trajs("train") + augmented_trajs(city, trmma_augment, seed)
     tpm = segment_time_stats_trajs(city.net, hist, city.eps)
-    samples = trmma_training_samples(city, time_per_meter=tpm, trajs=hist)
-    mma = train_mma(city, epochs=mma_epochs, seed=seed, n2v=n2v, augment=mma_augment, verbose=verbose)
-    trmma = train_trmma(city, epochs=trmma_epochs, seed=seed, n2v=n2v, time_per_meter=tpm,
-                        samples=samples, verbose=verbose)
-    return TrainedPair(n2v, tpm, samples, mma, trmma)
+    samples = trmma_training_samples(city, trajs=hist, time_per_meter=tpm)
+    mma_samples = mma_training_samples(city, augment=mma_augment, seed=seed)
+    mma = train_mma(city, mma_samples, n2v, epochs=mma_epochs, seed=seed, verbose=verbose)
+    trmma = train_trmma(city, samples, n2v, epochs=trmma_epochs, seed=seed, verbose=verbose)
+    return TrainedPair(n2v, tpm, samples, mma, trmma, mma_samples)

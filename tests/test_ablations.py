@@ -1,6 +1,7 @@
 """Tests for the Table IV ablation suite plumbing."""
 import pytest
 
+import repro.mma.train as mma_train
 from repro.trmma.ablations import train_ablation_suite
 
 PAPER_ROWS = ["TRMMA", "TRMMA-HMM", "TRMMA-Near", "MMA+linear",
@@ -8,9 +9,25 @@ PAPER_ROWS = ["TRMMA", "TRMMA-HMM", "TRMMA-Near", "MMA+linear",
 
 
 @pytest.fixture(scope="module")
-def suite(pt_city):
-    return train_ablation_suite(pt_city, mma_epochs=1, trmma_epochs=1,
-                                mma_augment=0, trmma_augment=0)
+def suite_run(pt_city):
+    """The suite, and how many MMA training samples building it featureised."""
+    built = []
+    featureise = mma_train.build_mma_sample
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mma_train, "build_mma_sample", lambda *a, **k: built.append(1) or featureise(*a, **k))
+        suite = train_ablation_suite(pt_city, mma_epochs=1, trmma_epochs=1,
+                                     mma_augment=0, trmma_augment=0)
+    return suite, len(built)
+
+
+@pytest.fixture(scope="module")
+def suite(suite_run):
+    return suite_run[0]
+
+
+def test_mma_samples_built_once(pt_city, suite_run):
+    """The full MMA and the -C / -DI variants train on one sample set."""
+    assert suite_run[1] == len(mma_train.mma_training_samples(pt_city))
 
 
 def test_suite_has_paper_rows(suite):

@@ -63,9 +63,11 @@ def test_spark_matches_driver_side(spark, pt_city, nearest_result):
 
 def test_trained_mma_through_spark(spark, pt_city):
     from repro.mma.baselines import MMAMatcher
-    from repro.mma.train import train_mma
+    from repro.mma.train import mma_training_samples, train_mma
+    from repro.roadnet.node2vec import node2vec_embeddings
 
-    model = train_mma(pt_city, epochs=1, d=16)
+    n2v = node2vec_embeddings(pt_city.net, d=16)
+    model = train_mma(pt_city, mma_training_samples(pt_city), n2v, epochs=1, d=16)
     m = MMAMatcher(pt_city.net, pt_city.index, pt_city.norm, model)
     res = run_matcher(spark, pt_city, m)
     n_traj = pt_city.points.filter(F.col("split") == "test").select("traj_id").distinct().count()

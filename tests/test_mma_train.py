@@ -3,6 +3,12 @@ import numpy as np
 import pytest
 
 from repro.mma.train import augmented_trajs, mma_training_samples, train_mma
+from repro.roadnet.node2vec import node2vec_embeddings
+
+
+@pytest.fixture(scope="module")
+def n2v16(pt_city):
+    return node2vec_embeddings(pt_city.net, d=16)
 
 
 def test_training_samples_from_split(pt_city):
@@ -28,9 +34,9 @@ def test_augmentation_extends_samples(pt_city):
     assert len(more) > len(base)
 
 
-def test_train_mma_improves_over_init(pt_city):
+def test_train_mma_improves_over_init(pt_city, n2v16):
     samples = mma_training_samples(pt_city)
-    model = train_mma(pt_city, epochs=8, d=16, samples=samples)
+    model = train_mma(pt_city, samples, n2v16, epochs=8, d=16)
 
     def acc(m):
         c = t = 0
@@ -47,8 +53,8 @@ def test_train_mma_improves_over_init(pt_city):
     assert acc(model) > acc(untrained) + 0.1
 
 
-def test_train_mma_deterministic(pt_city):
+def test_train_mma_deterministic(pt_city, n2v16):
     samples = mma_training_samples(pt_city)[:10]
-    a = train_mma(pt_city, epochs=1, d=16, samples=samples, seed=3)
-    b = train_mma(pt_city, epochs=1, d=16, samples=samples, seed=3)
+    a = train_mma(pt_city, samples, n2v16, epochs=1, d=16, seed=3)
+    b = train_mma(pt_city, samples, n2v16, epochs=1, d=16, seed=3)
     assert all(np.allclose(x.data, y.data) for x, y in zip(a.parameters(), b.parameters()))

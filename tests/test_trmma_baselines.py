@@ -161,6 +161,24 @@ def test_seq2seg_recover_equals_autodiff_reference(net_small, index_small, pt_no
         assert np.array_equal(ratios, ref_ratios)
 
 
+@pytest.mark.parametrize("cls", (RNTrajRecRecoverer, MMSTGEDRecoverer, TrajGATDecRecoverer),
+                         ids=lambda c: c.name)
+def test_subgraph_encoders_run_node2vec_once(net_small, index_small, pt_norm, monkeypatch, cls):
+    """The subgraph embeddings are the Node2Vec columns of the decoder's
+    segment features: one Node2Vec run per recoverer, equal to its own."""
+    import repro.mma.baselines as mma_baselines
+    import repro.trmma.baselines as trmma_baselines
+    from repro.roadnet.node2vec import node2vec_embeddings
+
+    runs = []
+    for module in (mma_baselines, trmma_baselines):
+        monkeypatch.setattr(module, "node2vec_embeddings",
+                            lambda *a, **k: runs.append(1) or node2vec_embeddings(*a, **k), raising=False)
+    rec = cls(net_small, index_small, pt_norm, 15.0, d=12, seed=2)
+    assert len(runs) == 1
+    assert np.array_equal(rec.n2v, node2vec_embeddings(net_small, d=16, seed=2))
+
+
 @pytest.mark.parametrize("cls", (DHTRRecoverer, TERIRecoverer), ids=lambda c: c.name)
 def test_free_space_coords_equal_autodiff_reference(net_small, index_small, pt_norm, trajs_small, cls):
     rec = cls(net_small, index_small, pt_norm, 15.0, d=12, seed=1)

@@ -5,13 +5,15 @@ from pyspark.sql import functions as F
 
 from repro.mma.baselines import NearestMatcher
 from repro.trmma.infer import TRMMARecoverer, run_recovery
-from repro.trmma.train import train_trmma
+from repro.roadnet.node2vec import node2vec_embeddings
+from repro.trmma.train import train_trmma, trmma_training_samples
 from tests.spark_jobs import run_in_job_group
 
 
 @pytest.fixture(scope="module")
 def trmma_rec(pt_city):
-    model = train_trmma(pt_city, epochs=1, d_h=16)
+    samples = trmma_training_samples(pt_city, pt_city.trajs("train"))
+    model = train_trmma(pt_city, samples, node2vec_embeddings(pt_city.net, d=16), epochs=1, d_h=16)
     matcher = NearestMatcher(pt_city.net, pt_city.index, pt_city.norm)
     return TRMMARecoverer(matcher, model, pt_city.norm, pt_city.eps)
 

@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
+from repro.mma.train import augmented_trajs
+from repro.roadnet.node2vec import node2vec_embeddings
 from repro.trmma.train import (
     segment_time_stats,
     segment_time_stats_trajs,
     train_trmma,
-    trmma_train_trajs,
     trmma_training_samples,
 )
 
@@ -32,7 +33,7 @@ def test_time_stats_reflect_slow_segments(pt_city):
 
     kin = CityKinematics.for_net(pt_city.net, seed=CITY_PRESETS["pt"]["net_seed"] + 7)
     # use many trajectories for a stable estimate
-    trajs = trmma_train_trajs(pt_city, augment=150)
+    trajs = pt_city.trajs("train") + augmented_trajs(pt_city, 150)
     tpm = segment_time_stats_trajs(pt_city.net, trajs, pt_city.eps)
     # correlation between 1/speed_factor and time-per-metre must be positive
     corr = np.corrcoef(1.0 / kin.seg_speed_factor, tpm)[0, 1]
@@ -40,15 +41,16 @@ def test_time_stats_reflect_slow_segments(pt_city):
 
 
 def test_training_samples_counts(pt_city):
-    base = trmma_training_samples(pt_city)
-    more = trmma_training_samples(pt_city, trajs=trmma_train_trajs(pt_city, augment=5))
+    base = trmma_training_samples(pt_city, pt_city.trajs("train"))
+    more = trmma_training_samples(pt_city, pt_city.trajs("train") + augmented_trajs(pt_city, 5))
     assert len(more) == len(base) + 5
 
 
 def test_train_trmma_smoke_and_df_variant(pt_city):
-    samples = trmma_training_samples(pt_city)[:8]
-    m = train_trmma(pt_city, epochs=1, d_h=16, samples=samples)
-    m_df = train_trmma(pt_city, epochs=1, d_h=16, samples=samples, use_dualformer=False)
+    samples = trmma_training_samples(pt_city, pt_city.trajs("train"))[:8]
+    n2v = node2vec_embeddings(pt_city.net, d=16)
+    m = train_trmma(pt_city, samples, n2v, epochs=1, d_h=16)
+    m_df = train_trmma(pt_city, samples, n2v, epochs=1, d_h=16, use_dualformer=False)
     assert m.use_dualformer and not m_df.use_dualformer
     segs, ratios = m.recover(samples[0])
     assert len(segs) == samples[0].n_ticks
